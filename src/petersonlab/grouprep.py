@@ -9,12 +9,17 @@ A group element is a word in tokens
     ('si', i)     the inverse of ('s', i)
     ('exp', elem) exp of a nilpotent Lie element (sorted label/coeff pairs)
 with t exact rational.  Evaluation is lazy per module and favors
-vector application over full matrix products.
+vector application over full matrix products.  Exact evaluation runs in
+integers: a vector is carried as integer numerators over one common
+denominator through the whole word (Rep.apply_word), and each action
+matrix as integer rows over one denominator.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import itertools
+from math import gcd, lcm
 import random
 
 from . import linalg, liealg, rootdata
@@ -62,6 +67,55 @@ def _exp_apply(rows, t, vec, zero, one, transpose=False):
     return out
 
 
+# -- the integer kernel ------------------------------------------------
+
+def _int_rows(rows):
+    """Sparse rational rows as (integer rows, R), rows = integer rows / R."""
+    den = lcm(*(v.denominator for row in rows for _, v in row))
+    return (tuple(tuple((c, v.numerator * (den // v.denominator))
+                        for c, v in row) for row in rows), den)
+
+
+def _transpose_rows(rows, dim):
+    out = [[] for _ in range(dim)]
+    for r, row in enumerate(rows):
+        for c, v in row:
+            out[c].append((r, v))
+    return tuple(tuple(row) for row in out)
+
+
+def _int_exp_apply(rows, den_m, t, nums, den):
+    """exp(t M) applied to nums / den, for nilpotent M = rows / den_m.
+
+    With t = p/q the k-th term is T_k = p (rows . T_{k-1}) over
+    den * prod_{j<=k} (den_m q j); the running sum is rescaled to each new
+    denominator, and the result is reduced by one gcd."""
+    p, q = t.numerator, t.denominator
+    out = term = nums
+    k = 1
+    while True:
+        term = [p * sum([v * term[c] for c, v in row]) if row else 0
+                for row in rows]
+        if not any(term):
+            break
+        step = den_m * q * k
+        out = [a * step + b for a, b in zip(out, term)]
+        den *= step
+        k += 1
+        if k > len(nums) + 2:
+            raise AssertionError("generator is not nilpotent")
+    g = gcd(den, *out)
+    if g > 1:
+        out = [a // g for a in out]
+        den //= g
+    return out, den
+
+
+# ('s', i) and ('si', i) as products of exp tokens, left to right
+_S_STEPS = {'s': (('y', ONE), ('x', -ONE), ('y', ONE)),
+            'si': (('y', -ONE), ('x', ONE), ('y', -ONE))}
+
+
 class Rep:
     """A weight module prepared for group-element evaluation."""
 
@@ -78,6 +132,7 @@ class Rep:
         self._f = [tuple(tuple((c, conv(v)) for c, v in row) for row in sp)
                    for sp in module.act_f]
         self._label_cache = {}
+        self._int_cache = {}      # built on first exact use
         self._gram = None
 
     def gram(self):
@@ -99,9 +154,10 @@ class Rep:
             i, bidx, div, fsign = self.chev.defpair[idx]
             a = self.label_rows((kind, self.chev.simple_index[i]))
             b = self.label_rows((kind, bidx))
-            da = self._densify(a)
-            db = self._densify(b)
-            m = self._mat_sub(self._mat_mul(da, db), self._mat_mul(db, da))
+            da = self.module.sparse_to_dense(a)
+            db = self.module.sparse_to_dense(b)
+            m = linalg.mat_sub(linalg.mat_mul(da, db),
+                               linalg.mat_mul(db, da))
             scale = self.one / div if self.float else Fraction(1, div)
             if kind == 'f':
                 scale = scale * fsign
@@ -127,32 +183,10 @@ class Rep:
                 rows[r].append((c, v))
         return tuple(tuple(sorted(row)) for row in rows)
 
-    def _densify(self, rows):
-        m = [[self.zero] * self.dim for _ in range(self.dim)]
-        for r, row in enumerate(rows):
-            for c, v in row:
-                m[r][c] = v
-        return m
-
-    def _mat_mul(self, a, b):
-        n = self.dim
-        out = [[self.zero] * n for _ in range(n)]
-        for i in range(n):
-            for t in range(n):
-                v = a[i][t]
-                if v:
-                    brow = b[t]
-                    orow = out[i]
-                    for j in range(n):
-                        if brow[j]:
-                            orow[j] += v * brow[j]
-        return out
-
-    def _mat_sub(self, a, b):
-        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
     # -- token application --------------------------------------------
     def apply_token(self, token, vec, transpose=False):
+        """One token on a vector, entry by entry in the rep's own scalars;
+        apply_word uses it for float reps."""
         kind = token[0]
         conv = float if self.float else Fraction
         if kind == 'x':
@@ -163,23 +197,83 @@ class Rep:
             rows = self._f[token[1]]
             return _exp_apply(rows, conv(token[2]), vec, self.zero, self.one,
                               transpose)
-        if kind == 's':
-            seq = [('y', token[1], ONE), ('x', token[1], -ONE),
-                   ('y', token[1], ONE)]
-        elif kind == 'si':
-            seq = [('y', token[1], -ONE), ('x', token[1], ONE),
-                   ('y', token[1], -ONE)]
-        elif kind == 'exp':
+        if kind == 'exp':
             rows = self.element_rows(token[1])
             return _exp_apply(rows, self.one, vec, self.zero, self.one,
                               transpose)
-        else:
+        if kind not in _S_STEPS:
             raise ValueError("unknown token %r" % (token,))
+        seq = [(k, token[1], t) for k, t in _S_STEPS[kind]]
         if transpose:
             seq.reverse()
         for t in seq:
             vec = self.apply_token(t, vec, transpose)
         return vec
+
+    def apply_word(self, word, vec, transpose=False):
+        """The word's matrix applied to a column vector; with transpose, a
+        row vector times the matrix.
+
+        Exact reps convert vec once to integer numerators over a common
+        denominator, apply every token in integers, and convert back once.
+        """
+        tokens = word if transpose else reversed(word)
+        if self.float:
+            for token in tokens:
+                vec = self.apply_token(token, vec, transpose)
+            return vec
+        den = lcm(*(v.denominator for v in vec))
+        nums = [v.numerator * (den // v.denominator) for v in vec]
+        for token in tokens:
+            for rows, den_m, t in self._int_steps(token, transpose):
+                nums, den = _int_exp_apply(rows, den_m, t, nums, den)
+        return [Fraction(v, den) if v else ZERO for v in nums]
+
+    def _int_steps(self, token, transpose):
+        """(integer rows, denominator, t) of each exp(t M) in a token."""
+        kind = token[0]
+        if kind in ('x', 'y'):
+            return [self._int_generator(kind, token[1], transpose)
+                    + (Fraction(token[2]),)]
+        if kind in _S_STEPS:
+            steps = [self._int_generator(k, token[1], transpose) + (t,)
+                     for k, t in _S_STEPS[kind]]
+            return steps[::-1] if transpose else steps
+        if kind == 'exp':
+            rows, den = self._int_element(token[1])
+            if transpose:
+                rows = _transpose_rows(rows, self.dim)
+            return [(rows, den, ONE)]
+        raise ValueError("unknown token %r" % (token,))
+
+    def _int_generator(self, kind, i, transpose):
+        key = (kind, i, transpose)
+        if key not in self._int_cache:
+            rows, den = _int_rows((self._e if kind == 'x' else self._f)[i])
+            if transpose:
+                rows = _transpose_rows(rows, self.dim)
+            self._int_cache[key] = (rows, den)
+        return self._int_cache[key]
+
+    def _int_label(self, label):
+        key = ('label', label)
+        if key not in self._int_cache:
+            self._int_cache[key] = _int_rows(self.label_rows(label))
+        return self._int_cache[key]
+
+    def _int_element(self, elem):
+        """element_rows in integers: (integer rows, denominator)."""
+        parts = [(Fraction(coeff), self._int_label(label))
+                 for label, coeff in elem]
+        den = lcm(*(c.denominator * d for c, (_, d) in parts))
+        acc = [{} for _ in range(self.dim)]
+        for c, (rows, d) in parts:
+            scale = c.numerator * (den // (c.denominator * d))
+            for a, row in zip(acc, rows):
+                for col, v in row:
+                    a[col] = a.get(col, 0) + scale * v
+        return (tuple(tuple(sorted((col, v) for col, v in a.items() if v))
+                      for a in acc), den)
 
     def unit(self, k):
         v = [self.zero] * self.dim
@@ -213,15 +307,11 @@ class GroupElement:
 
     def apply(self, rep, vec):
         """Matrix of the element applied to a column vector."""
-        for token in reversed(self.word):
-            vec = rep.apply_token(token, vec)
-        return vec
+        return rep.apply_word(self.word, vec)
 
     def row_apply(self, rep, row):
         """Row vector times the matrix of the element."""
-        for token in self.word:
-            row = rep.apply_token(token, row, transpose=True)
-        return row
+        return rep.apply_word(self.word, row, transpose=True)
 
     def matrix(self, rep):
         cols = [self.apply(rep, rep.unit(k)) for k in range(rep.dim)]
@@ -246,12 +336,6 @@ def sdot_inv(i):
 
 def identity_element():
     return GroupElement(())
-
-
-def gen(token):
-    if token[0] in ('x', 'y'):
-        return GroupElement(((token[0], token[1], Fraction(token[2])),))
-    return GroupElement((token,))
 
 
 def wdot(w):
@@ -321,6 +405,13 @@ class Workspace:
         return rootdata.longest_element(self.datum, range(self.datum.n))
 
 
+@functools.lru_cache(maxsize=32)
+def workspace(datum):
+    """The shared Workspace of a root datum.  Keyed by value: equal data,
+    however they were built, share one Workspace and its modules."""
+    return Workspace(datum)
+
+
 def delta_varpi(i, g, ws, as_float=False):
     """Highest-weight matrix coefficient of g on the i-th fundamental module."""
     rep = ws.fundamental_rep(i, as_float)
@@ -363,6 +454,14 @@ def ad_coefficient(g, label, ws):
 def q_coefficient(i, g, ws):
     """q_i(g) = minus the f_i coefficient of Ad_{g^{-1}}(e)."""
     return -ad_coefficient(g, ('f', ws.chev.simple_index[i]), ws)
+
+
+def q_vector(g, ws):
+    """(q_1(g), ..., q_n(g)) from one ad-conjugation."""
+    vec = ad_conjugate_e(g, ws)
+    labels = ws.adjoint_rep().module.labels
+    return tuple(-vec[labels.index(('f', idx))]
+                 for idx in ws.chev.simple_index)
 
 
 @dataclass(frozen=True)
@@ -430,7 +529,6 @@ def centralizer_basis(ws, J):
     for vec in kernel:
         denom = linalg.lcm([v.denominator for v in vec if v] or [1])
         ints = [v * denom for v in vec]
-        from math import gcd
         g = 0
         for v in ints:
             g = gcd(g, int(v))
@@ -442,5 +540,7 @@ def centralizer_basis(ws, J):
     basis.sort(key=lambda el: (max(sum(datum.positive_roots[l[1]])
                                    for l in el),
                                sorted(l[1] for l in el)))
-    assert len(basis) == len(J)
+    if len(basis) != len(J):
+        raise AssertionError("centralizer basis has %d elements, expected "
+                             "|J| = %d" % (len(basis), len(J)))
     return basis

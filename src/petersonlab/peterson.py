@@ -82,7 +82,7 @@ def minor_vector(ws, p):
     """(Delta values, q values) of the normal-form element, unvalidated."""
     g = element(ws, p)
     xs = tuple(grouprep.delta_varpi(i, g, ws) for i in range(ws.datum.n))
-    ys = tuple(grouprep.q_coefficient(i, g, ws) for i in range(ws.datum.n))
+    ys = grouprep.q_vector(g, ws)
     return xs, ys
 
 
@@ -114,7 +114,7 @@ def split_components(ws, p, partition):
     out = []
     for block in blocks:
         sub = component_datum(ws.datum, block)
-        sub_ws = grouprep.Workspace(sub)
+        sub_ws = grouprep.workspace(sub)
         sub_j = tuple(block.index(i) for i in p.J if i in block)
         sub_basis = grouprep.centralizer_basis(sub_ws, sub_j)
         # restrict the ambient Lie element to this block and re-express

@@ -74,14 +74,8 @@ class VerificationReport:
         }
 
 
-_workspaces = {}
-
-
 def _ws(type_name):
-    if type_name not in _workspaces:
-        _workspaces[type_name] = grouprep.Workspace(
-            rootdata.datum_from_name(type_name))
-    return _workspaces[type_name]
+    return grouprep.workspace(rootdata.datum_from_name(type_name))
 
 
 def _subsets(items):
@@ -118,8 +112,7 @@ def suite_lemma53(type_name, samples, seed):
         pts = peterson.sample_points(ws, J, samples, seed=seed)
         for p in pts:
             g = peterson.element(ws, p)
-            got = tuple(grouprep.q_coefficient(i, g, ws)
-                        for i in range(ws.datum.n))
+            got = grouprep.q_vector(g, ws)
             want = tuple(Fraction(1 if i in J else 0)
                          for i in range(ws.datum.n))
             rep.check(got == want,
@@ -157,7 +150,7 @@ def suite_prop35(type_name, samples, seed):
         if not J:
             continue
         sub = peterson.component_datum(ws.datum, J)
-        sub_ws = grouprep.Workspace(sub)
+        sub_ws = grouprep.workspace(sub)
         for _ in range(samples):
             g = _random_levi_word(ws.datum, J, rng)
             sub_g = grouprep.GroupElement(tuple(
@@ -277,7 +270,7 @@ def suite_splitting(type_name, samples, seed):
         got_x = [None] * datum.n
         got_y = [None] * datum.n
         for cp in parts:
-            sws = grouprep.Workspace(cp.datum)
+            sws = grouprep.workspace(cp.datum)
             cx, cy = peterson.minor_vector(sws, cp.point)
             for k, i in enumerate(cp.nodes):
                 got_x[i] = cx[k]

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import petersonlab
 from petersonlab import cli
 
 
@@ -116,6 +120,24 @@ def test_verify_stdout_default_seed(capsys):
     data = json.loads(out)
     assert data["seed"] == 0
     assert data["ordering"] == "bourbaki"
+
+
+def test_verify_report_same_under_python_O(tmp_path, capsys):
+    """`python -O` strips asserts; the explicit checks still run there
+    and the report is unchanged."""
+    args = ["verify", "lemma53", "--type", "A2", "--samples", "3"]
+    normal = tmp_path / "normal.json"
+    code, _, _ = run(capsys, *args, "--report", str(normal))
+    assert code == 0
+    optimized = tmp_path / "optimized.json"
+    src = os.path.dirname(os.path.dirname(petersonlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "petersonlab.cli", *args,
+         "--report", str(optimized)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(optimized.read_text()) == json.loads(normal.read_text())
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from petersonlab import grouprep, rootdata
+from petersonlab import grouprep, linalg, peterson, rootdata
 
 F = Fraction
 
@@ -158,3 +158,98 @@ def test_delta_nonneg_on_tnn_times_w0_in_a2(a, b):
     g = s.element * grouprep.wdot(w0)
     for i in range(2):
         assert grouprep.delta_varpi(i, g, ws) >= 0
+
+
+# -- the integer kernel against naive dense Fraction products ------------
+
+def _dense_exp(m, t):
+    """exp(t m) for a nilpotent dense matrix, by its power series."""
+    out = linalg.identity(len(m))
+    term = out
+    k = 1
+    while True:
+        term = linalg.mat_scale(linalg.mat_mul(term, m), t / k)
+        if not any(any(row) for row in term):
+            return out
+        out = linalg.mat_add(out, term)
+        k += 1
+
+
+def _dense_token(rep, token):
+    mod = rep.module
+    kind = token[0]
+    if kind == 'x':
+        return _dense_exp(mod.e_dense(token[1]), token[2])
+    if kind == 'y':
+        return _dense_exp(mod.f_dense(token[1]), token[2])
+    if kind in ('s', 'si'):
+        t = F(1) if kind == 's' else F(-1)
+        y = _dense_exp(mod.f_dense(token[1]), t)
+        x = _dense_exp(mod.e_dense(token[1]), -t)
+        return linalg.mat_mul(linalg.mat_mul(y, x), y)
+    m = [[F(0)] * rep.dim for _ in range(rep.dim)]
+    for label, c in token[1]:
+        m = linalg.mat_add(m, linalg.mat_scale(
+            mod.sparse_to_dense(rep.label_rows(label)), c))
+    return _dense_exp(m, F(1))
+
+
+_params = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _words(draw, n, nroots):
+    word = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(('x', 'y', 's', 'si', 'exp')))
+        if kind in ('x', 'y'):
+            word.append((kind, draw(st.integers(0, n - 1)),
+                         draw(st.one_of(st.just(F(0)), _params))))
+        elif kind in ('s', 'si'):
+            word.append((kind, draw(st.integers(0, n - 1))))
+        else:
+            labels = draw(st.sets(st.integers(0, nroots - 1), max_size=3))
+            elem = {('e', idx): draw(_params) for idx in labels}
+            word += grouprep.exp_element(elem).word
+    return grouprep.GroupElement(tuple(word))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_kernel_matches_dense_fraction_product(data):
+    datum = rootdata.datum_from_name(data.draw(st.sampled_from(("B2", "G2"))))
+    ws = grouprep.workspace(datum)
+    rep = data.draw(st.sampled_from(
+        [ws.fundamental_rep(i) for i in range(datum.n)] + [ws.adjoint_rep()]))
+    g = data.draw(_words(datum.n, len(datum.positive_roots)))
+    want = linalg.identity(rep.dim)
+    for token in g.word:
+        want = linalg.mat_mul(want, _dense_token(rep, token))
+    assert g.matrix(rep) == want
+    vec = data.draw(st.lists(_params, min_size=rep.dim, max_size=rep.dim))
+    assert g.apply(rep, vec) == linalg.mat_vec(want, vec)
+    assert g.row_apply(rep, vec) == linalg.mat_vec(linalg.transpose(want),
+                                                   vec)
+
+
+def test_q_vector_matches_q_coefficient():
+    for name in ("A2", "B2", "G2", "A2xA1"):
+        ws = grouprep.workspace(rootdata.datum_from_name(name))
+        n = ws.datum.n
+        points = [peterson.element(ws, p)
+                  for J in [(), (0,), tuple(range(n))]
+                  for p in peterson.sample_points(ws, J, 2, seed=5)]
+        points.append(grouprep.x_(0, F(2)) * grouprep.sdot(n - 1)
+                      * grouprep.y_(0, F(-1, 3)))
+        for g in points:
+            assert grouprep.q_vector(g, ws) == tuple(
+                grouprep.q_coefficient(i, g, ws) for i in range(n))
+
+
+def test_workspace_shared_by_value():
+    sub = peterson.component_datum(rootdata.datum_from_name("A2xA1"), (0, 1))
+    a2 = rootdata.datum_from_name("A2")
+    assert sub is not a2 and sub == a2
+    assert grouprep.workspace(sub) is grouprep.workspace(a2)
+    assert grouprep.workspace(a2).datum == a2
+    assert grouprep.workspace.cache_info().maxsize is not None
