@@ -9,7 +9,7 @@ A group element is a word in tokens
     ('si', i)     the inverse of ('s', i)
     ('exp', elem) exp of a nilpotent Lie element (sorted label/coeff pairs)
 with t exact rational.  Evaluation is lazy per module and favors
-vector application over full matrix products.  Exact evaluation runs in
+vector application over full matrix products.  Evaluation runs in
 integers: a vector is carried as integer numerators over one common
 denominator through the whole word (Rep.apply_word), and each action
 matrix as integer rows over one denominator.
@@ -26,45 +26,6 @@ from . import linalg, liealg, rootdata
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _sparse_apply(rows, vec, zero):
-    out = [zero] * len(vec)
-    for r, row in enumerate(rows):
-        acc = zero
-        for c, v in row:
-            if vec[c]:
-                acc += v * vec[c]
-        out[r] = acc
-    return out
-
-
-def _sparse_apply_t(rows, vec, zero):
-    out = [zero] * len(vec)
-    for r, row in enumerate(rows):
-        vr = vec[r]
-        if vr:
-            for c, v in row:
-                out[c] += vr * v
-    return out
-
-
-def _exp_apply(rows, t, vec, zero, one, transpose=False):
-    """exp(t M) applied to vec for nilpotent sparse M."""
-    apply_ = _sparse_apply_t if transpose else _sparse_apply
-    out = list(vec)
-    term = list(vec)
-    k = 1
-    while True:
-        term = apply_(rows, term, zero)
-        if not any(term):
-            break
-        term = [v * t / k for v in term]
-        out = [a + b for a, b in zip(out, term)]
-        k += 1
-        if k > len(vec) + 2:
-            raise AssertionError("generator is not nilpotent")
-    return out
 
 
 # -- the integer kernel ------------------------------------------------
@@ -117,28 +78,19 @@ _S_STEPS = {'s': (('y', ONE), ('x', -ONE), ('y', ONE)),
 
 
 class Rep:
-    """A weight module prepared for group-element evaluation."""
+    """A weight module prepared for exact group-element evaluation."""
 
-    def __init__(self, module, chev, as_float=False):
+    def __init__(self, module, chev):
         self.module = module
         self.chev = chev
-        self.float = as_float
         self.dim = module.dimension
-        self.zero = 0.0 if as_float else ZERO
-        self.one = 1.0 if as_float else ONE
-        conv = float if as_float else (lambda v: v)
-        self._e = [tuple(tuple((c, conv(v)) for c, v in row) for row in sp)
-                   for sp in module.act_e]
-        self._f = [tuple(tuple((c, conv(v)) for c, v in row) for row in sp)
-                   for sp in module.act_f]
         self._label_cache = {}
-        self._int_cache = {}      # built on first exact use
+        self._int_cache = {}      # integer rows, built on first use
         self._gram = None
 
     def gram(self):
         if self._gram is None:
-            conv = float if self.float else (lambda v: v)
-            self._gram = [[conv(v) for v in row] for row in self.module.gram]
+            self._gram = [list(row) for row in self.module.gram]
         return self._gram
 
     def label_rows(self, label):
@@ -147,9 +99,9 @@ class Rep:
             return self._label_cache[label]
         kind, idx = label
         if kind == 'e' and idx in set(self.chev.simple_index):
-            rows = self._e[self.chev.simple_index.index(idx)]
+            rows = self.module.act_e[self.chev.simple_index.index(idx)]
         elif kind == 'f' and idx in set(self.chev.simple_index):
-            rows = self._f[self.chev.simple_index.index(idx)]
+            rows = self.module.act_f[self.chev.simple_index.index(idx)]
         elif kind in ('e', 'f'):
             i, bidx, div, fsign = self.chev.defpair[idx]
             a = self.label_rows((kind, self.chev.simple_index[i]))
@@ -158,70 +110,23 @@ class Rep:
             db = self.module.sparse_to_dense(b)
             m = linalg.mat_sub(linalg.mat_mul(da, db),
                                linalg.mat_mul(db, da))
-            scale = self.one / div if self.float else Fraction(1, div)
-            if kind == 'f':
-                scale = scale * fsign
-            rows = tuple(tuple((c, v * scale) for c, v in
-                               ((c, v) for c, v in enumerate(row) if v))
+            scale = Fraction(fsign if kind == 'f' else 1, div)
+            rows = tuple(tuple((c, v * scale) for c, v in enumerate(row) if v)
                          for row in m)
         else:
             raise KeyError(label)
         self._label_cache[label] = rows
         return rows
 
-    def element_rows(self, elem):
-        """Sparse matrix of a Lie element given as ((label, coeff), ...)."""
-        acc = {}
-        for label, coeff in elem:
-            cv = float(coeff) if self.float else Fraction(coeff)
-            for r, row in enumerate(self.label_rows(label)):
-                for c, v in row:
-                    acc[(r, c)] = acc.get((r, c), self.zero) + cv * v
-        rows = [[] for _ in range(self.dim)]
-        for (r, c), v in acc.items():
-            if v:
-                rows[r].append((c, v))
-        return tuple(tuple(sorted(row)) for row in rows)
-
-    # -- token application --------------------------------------------
-    def apply_token(self, token, vec, transpose=False):
-        """One token on a vector, entry by entry in the rep's own scalars;
-        apply_word uses it for float reps."""
-        kind = token[0]
-        conv = float if self.float else Fraction
-        if kind == 'x':
-            rows = self._e[token[1]]
-            return _exp_apply(rows, conv(token[2]), vec, self.zero, self.one,
-                              transpose)
-        if kind == 'y':
-            rows = self._f[token[1]]
-            return _exp_apply(rows, conv(token[2]), vec, self.zero, self.one,
-                              transpose)
-        if kind == 'exp':
-            rows = self.element_rows(token[1])
-            return _exp_apply(rows, self.one, vec, self.zero, self.one,
-                              transpose)
-        if kind not in _S_STEPS:
-            raise ValueError("unknown token %r" % (token,))
-        seq = [(k, token[1], t) for k, t in _S_STEPS[kind]]
-        if transpose:
-            seq.reverse()
-        for t in seq:
-            vec = self.apply_token(t, vec, transpose)
-        return vec
-
     def apply_word(self, word, vec, transpose=False):
         """The word's matrix applied to a column vector; with transpose, a
         row vector times the matrix.
 
-        Exact reps convert vec once to integer numerators over a common
-        denominator, apply every token in integers, and convert back once.
+        vec is converted once to integer numerators over a common
+        denominator, every token is applied in integers, and the result is
+        converted back once.
         """
         tokens = word if transpose else reversed(word)
-        if self.float:
-            for token in tokens:
-                vec = self.apply_token(token, vec, transpose)
-            return vec
         den = lcm(*(v.denominator for v in vec))
         nums = [v.numerator * (den // v.denominator) for v in vec]
         for token in tokens:
@@ -249,7 +154,8 @@ class Rep:
     def _int_generator(self, kind, i, transpose):
         key = (kind, i, transpose)
         if key not in self._int_cache:
-            rows, den = _int_rows((self._e if kind == 'x' else self._f)[i])
+            act = self.module.act_e if kind == 'x' else self.module.act_f
+            rows, den = _int_rows(act[i])
             if transpose:
                 rows = _transpose_rows(rows, self.dim)
             self._int_cache[key] = (rows, den)
@@ -262,7 +168,8 @@ class Rep:
         return self._int_cache[key]
 
     def _int_element(self, elem):
-        """element_rows in integers: (integer rows, denominator)."""
+        """Sparse matrix of a Lie element given as ((label, coeff), ...),
+        as (integer rows, denominator)."""
         parts = [(Fraction(coeff), self._int_label(label))
                  for label, coeff in elem]
         den = lcm(*(c.denominator * d for c, (_, d) in parts))
@@ -276,8 +183,8 @@ class Rep:
                       for a in acc), den)
 
     def unit(self, k):
-        v = [self.zero] * self.dim
-        v[k] = self.one
+        v = [ZERO] * self.dim
+        v[k] = ONE
         return v
 
 
@@ -350,7 +257,8 @@ def exp_element(elem):
 
 
 class Workspace:
-    """Lazily built module registry for one root datum."""
+    """Lazily built registry of the modules, reps and centralizer bases of
+    one root datum."""
 
     def __init__(self, datum, cap=liealg.DIMENSION_CAP):
         self.datum = datum
@@ -360,6 +268,7 @@ class Workspace:
         self._reps = {}
         self._adjoint = None
         self._exponents = None
+        self._centralizers = {}
 
     @property
     def chev(self):
@@ -380,21 +289,20 @@ class Workspace:
                 self.datum, lam, cap=self.cap)
         return self._modules[lam]
 
-    def rep(self, lam, as_float=False):
+    def rep(self, lam):
         lam = tuple(int(v) for v in lam)
-        key = (lam, as_float)
-        if key not in self._reps:
-            self._reps[key] = Rep(self.module(lam), self.chev, as_float)
-        return self._reps[key]
+        if lam not in self._reps:
+            self._reps[lam] = Rep(self.module(lam), self.chev)
+        return self._reps[lam]
 
-    def fundamental_rep(self, i, as_float=False):
+    def fundamental_rep(self, i):
         lam = tuple(1 if j == i else 0 for j in range(self.datum.n))
-        return self.rep(lam, as_float)
+        return self.rep(lam)
 
-    def power_rep(self, i, as_float=False):
+    def power_rep(self, i):
         m = self.exponents[i]
         lam = tuple(m if j == i else 0 for j in range(self.datum.n))
-        return self.rep(lam, as_float)
+        return self.rep(lam)
 
     def adjoint_rep(self):
         if self._adjoint is None:
@@ -404,6 +312,14 @@ class Workspace:
     def w0(self):
         return rootdata.longest_element(self.datum, range(self.datum.n))
 
+    def centralizer(self, J):
+        """centralizer_basis(self, J), built once per J and shared: callers
+        must not modify it."""
+        J = tuple(sorted(set(J)))
+        if J not in self._centralizers:
+            self._centralizers[J] = centralizer_basis(self, J)
+        return self._centralizers[J]
+
 
 @functools.lru_cache(maxsize=32)
 def workspace(datum):
@@ -412,9 +328,9 @@ def workspace(datum):
     return Workspace(datum)
 
 
-def delta_varpi(i, g, ws, as_float=False):
+def delta_varpi(i, g, ws):
     """Highest-weight matrix coefficient of g on the i-th fundamental module."""
-    rep = ws.fundamental_rep(i, as_float)
+    rep = ws.fundamental_rep(i)
     return g.apply(rep, rep.unit(0))[0]
 
 

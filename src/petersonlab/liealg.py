@@ -35,7 +35,8 @@ def weyl_dimension(datum, lam):
         num *= sum((lam[j] + 1) * root[j] * d[j] for j in range(n))
         den *= dot
     val = num / den
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise AssertionError("Weyl dimension %s is not an integer" % val)
     return int(val)
 
 
@@ -173,7 +174,9 @@ def _build_irreducible(datum, lam, cap=DIMENSION_CAP):
         basis.extend(new_level)
         if len(basis) > dim:
             raise AssertionError("basis exceeded Weyl dimension")
-    assert len(basis) == dim, (len(basis), dim)
+    if len(basis) != dim:
+        raise AssertionError("module basis has %d vectors, Weyl dimension "
+                             "is %d" % (len(basis), dim))
 
     weights = [vm.word_weight(b) for b in basis]
     index_by_weight = {}
@@ -366,7 +369,8 @@ def chevalley_basis(datum):
             div = Fraction(p + 1)
             egam = linalg.mat_scale(comm(emat[simple_index[i]], emat[bidx]),
                                     ONE / div)
-            assert any(any(row) for row in egam)
+            if not any(any(row) for row in egam):
+                raise AssertionError("root vector %d vanishes" % idx)
             fgam = linalg.mat_scale(comm(fmat[simple_index[i]], fmat[bidx]),
                                     ONE / div)
             h = comm(egam, fgam)
@@ -411,7 +415,8 @@ def chevalley_basis(datum):
                         if cj:
                             check = linalg.mat_add(
                                 check, linalg.mat_scale(hmats[j], cj))
-                    assert c == check, "h-part bracket mismatch"
+                    if c != check:
+                        raise AssertionError("h-part bracket mismatch")
                     brackets[(la, lb)] = coeffs
                 elif s in root_set or tuple(-v for v in s) in root_set:
                     tgt = (('e', root_index[s]) if s in root_set
@@ -420,8 +425,10 @@ def chevalley_basis(datum):
                     pos = next(((r, cc) for r in range(dim)
                                 for cc, v in enumerate(tm[r]) if v))
                     scal = c[pos[0]][pos[1]] / tm[pos[0]][pos[1]]
-                    assert c == linalg.mat_scale(tm, scal), "bracket not a root vector"
-                    assert scal.denominator == 1, "non-integral structure constant"
+                    if c != linalg.mat_scale(tm, scal):
+                        raise AssertionError("bracket not a root vector")
+                    if scal.denominator != 1:
+                        raise AssertionError("non-integral structure constant")
                     if scal:
                         brackets[(la, lb)] = {tgt: scal}
                     else:
@@ -430,8 +437,8 @@ def chevalley_basis(datum):
                         nconstants[(la[1], lb[1])] = scal
                         nconstants[(lb[1], la[1])] = -scal
                 else:
-                    assert all(all(v == 0 for v in row) for row in c), \
-                        "non-root bracket must vanish"
+                    if any(any(row) for row in c):
+                        raise AssertionError("non-root bracket must vanish")
                     brackets[(la, lb)] = {}
 
     return ChevalleyBasis(
@@ -525,7 +532,9 @@ def adjoint_module(basis):
             if nu in by_weight:
                 ups.append((i, nu))
         if not ups:
-            assert len(idxs) == 1
+            if len(idxs) != 1:
+                raise AssertionError("top weight space of the adjoint "
+                                     "module has dimension %d" % len(idxs))
             gblock[mu] = [[ONE]]
         else:
             rows_a = []

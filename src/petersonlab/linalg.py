@@ -58,10 +58,6 @@ def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
 
 
-def mat_eq(a, b):
-    return a == b
-
-
 def _echelon(a):
     """Row-reduce a copy of a; returns (echelon rows, pivot column list)."""
     m = [row[:] for row in a]

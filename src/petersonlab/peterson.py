@@ -32,7 +32,7 @@ def make_point(ws, J, coords):
 
 def unipotent_part(ws, p):
     """The element x = exp(sum coords * basis) of the centralizer."""
-    basis = grouprep.centralizer_basis(ws, p.J)
+    basis = ws.centralizer(p.J)
     elem = {}
     for c, b in zip(p.coords, basis):
         for label, v in b.items():
@@ -69,7 +69,9 @@ def classify_stratum(ws, p, sampled_tnn=False):
     n = ws.datum.n
     for i in range(n):
         if i not in p.J:
-            assert vals[i] == 1, "minor outside J must equal 1"
+            if vals[i] != 1:
+                raise AssertionError("minor outside J must equal 1, got %s "
+                                     "at node %d" % (vals[i], i))
     if sampled_tnn and any(v < 0 for v in vals):
         raise AssertionError(
             "negative minor on a TNN-sampled point contradicts minor "
@@ -110,13 +112,13 @@ def split_components(ws, p, partition):
     expected = [tuple(b) for b in rootdata.dynkin_components(ws.datum)]
     if sorted(blocks) != sorted(expected):
         raise ValueError("partition does not match the Dynkin components")
-    basis = grouprep.centralizer_basis(ws, p.J)
+    basis = ws.centralizer(p.J)
     out = []
     for block in blocks:
         sub = component_datum(ws.datum, block)
         sub_ws = grouprep.workspace(sub)
         sub_j = tuple(block.index(i) for i in p.J if i in block)
-        sub_basis = grouprep.centralizer_basis(sub_ws, sub_j)
+        sub_basis = sub_ws.centralizer(sub_j)
         # restrict the ambient Lie element to this block and re-express
         elem = {}
         for c, b in zip(p.coords, basis):
@@ -168,15 +170,11 @@ class InversionError(RuntimeError):
     pass
 
 
-def _deltas_float(ws, J, wj, coords_by_node):
-    basis = grouprep.centralizer_basis(ws, J)
-    elem = {}
-    for c, b in zip(coords_by_node, basis):
-        for label, v in b.items():
-            elem[label] = elem.get(label, 0) + c * float(v)
-    g = grouprep.exp_element({l: Fraction(c) for l, c in elem.items()}) \
-        * grouprep.wdot(wj)
-    return [float(grouprep.delta_varpi(i, g, ws, as_float=True)) for i in J]
+def _deltas_float(ws, J, wj, coords):
+    """The minors on J at float coordinates: exact at the coordinates'
+    exact binary values, rounded once."""
+    g = unipotent_part(ws, make_point(ws, J, coords)) * grouprep.wdot(wj)
+    return [float(grouprep.delta_varpi(i, g, ws)) for i in J]
 
 
 def invert_theorem59(ws, target, J=None, tol=1e-9, restarts=12, seed=0,
@@ -193,14 +191,7 @@ def invert_theorem59(ws, target, J=None, tol=1e-9, restarts=12, seed=0,
         raise ValueError("need one target per index in J")
     if any(t < 0 for t in target):
         raise ValueError("targets must be nonnegative")
-    sub_comps = [tuple(b) for b in rootdata.dynkin_components(ws.datum)]
-    comps = []
-    for block in sub_comps:
-        bj = [i for i in block if i in J]
-        if bj:
-            # components of J inside this Dynkin block
-            for piece in _graph_components(ws.datum, bj):
-                comps.append(piece)
+    comps = rootdata.dynkin_components(ws.datum, J)
     if any(len(c) > 2 for c in comps):
         raise NotImplementedError("inversion implemented for rank <= 2 "
                                   "components only")
@@ -226,27 +217,6 @@ def invert_theorem59(ws, target, J=None, tol=1e-9, restarts=12, seed=0,
         raise InversionError("Newton inversion residual %.3e >= %.1e"
                              % (resid, tol))
     return make_point(ws, J, [Fraction(c) for c in coords])
-
-
-def _graph_components(datum, nodes):
-    nodes = list(nodes)
-    seen = set()
-    comps = []
-    for start in nodes:
-        if start in seen:
-            continue
-        block = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            i = stack.pop()
-            block.append(i)
-            for j in nodes:
-                if j not in seen and datum.pairing[i][j] != 0:
-                    seen.add(j)
-                    stack.append(j)
-        comps.append(tuple(sorted(block)))
-    return comps
 
 
 def _invert_rank2(ws, J, wj, pos, comp, tgt, tol, rng, budget=60,
@@ -308,14 +278,8 @@ def _tnn_certified(ws, J, pos, comp, sol, tol):
     full = [0.0] * len(J)
     for j, v in zip(comp, sol):
         full[pos[j]] = v
-    basis = grouprep.centralizer_basis(ws, J)
-    elem = {}
-    for c, b in zip(full, basis):
-        for label, v in b.items():
-            elem[label] = elem.get(label, ZERO) + Fraction(c) * v
-    x = grouprep.exp_element(elem)
-    rep = ws.fundamental_rep(0, as_float=True)
-    mat = x.matrix(rep)
+    x = unipotent_part(ws, make_point(ws, J, full))
+    mat = x.matrix(ws.fundamental_rep(0))
     try:
         return grouprep.tnn_membership_typeA(mat, tol=tol)
     except ValueError:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import linalg
+from . import linalg, rootdata
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -56,21 +56,13 @@ def coweight_ray(datum, i):
     return tuple(1 if j == i else 0 for j in range(datum.n))
 
 
-def _subsets(items):
-    items = list(items)
-    out = [()]
-    for x in items:
-        out += [s + (x,) for s in out]
-    return out
-
-
 def build_fan(datum):
     """All 3^n simplicial cones sigma_{K,J}, K and J disjoint."""
     n = datum.n
     cones = {}
-    for K in _subsets(range(n)):
+    for K in rootdata.subsets(range(n)):
         rest = [i for i in range(n) if i not in K]
-        for J in _subsets(rest):
+        for J in rootdata.subsets(rest):
             rays = tuple(minus_coroot_ray(datum, i) for i in K) + \
                 tuple(coweight_ray(datum, i) for i in J)
             if rays:
@@ -79,7 +71,9 @@ def build_fan(datum):
                     raise AssertionError("cone is not simplicial")
             cones[(tuple(sorted(K)), tuple(sorted(J)))] = Cone(
                 label=(tuple(sorted(K)), tuple(sorted(J))), rays=rays)
-    assert len(cones) == 3 ** n
+    if len(cones) != 3 ** n:
+        raise AssertionError("fan has %d cones, expected 3^%d"
+                             % (len(cones), n))
     return Fan(datum=datum, cones=cones)
 
 
@@ -131,19 +125,14 @@ class FaceLattice:
         return set(self.faces[a].vertex_js) <= set(self.faces[b].vertex_js)
 
 
-def build_polytope(datum, lam):
-    """P^lambda with its 2^n vertices and 3^n faces, exactly."""
+def vertices(datum, lam):
+    """The 2^n vertices of P^lambda, J -> the point on the walls of J and
+    on the caps outside J."""
     n = datum.n
-    lam = tuple(Fraction(v) for v in lam)
-    if any(v <= 0 for v in lam):
-        raise ValueError("lambda must be regular dominant "
-                         "(all fundamental-weight coordinates > 0)")
     pinv = datum.pairing_inverse()
     lam_alpha = [sum(lam[j] * pinv[j][i] for j in range(n)) for i in range(n)]
-
-    vertices = {}
-    for J in _subsets(range(n)):
-        J = tuple(sorted(J))
+    out = {}
+    for J in rootdata.subsets(range(n)):
         rows = []
         rhs = []
         for i in range(n):
@@ -153,30 +142,45 @@ def build_polytope(datum, lam):
             else:
                 rows.append([pinv[j][i] for j in range(n)])
                 rhs.append(lam_alpha[i])
-        v = tuple(linalg.solve(rows, rhs))
-        vertices[J] = v
+        out[J] = tuple(linalg.solve(rows, rhs))
+    return out
 
-    poly = HPolytope(datum=datum, lam=lam, vertices=vertices,
-                     cap_values=tuple(lam_alpha))
-    for J, v in vertices.items():
+
+def build_polytope(datum, lam):
+    """P^lambda with its 2^n vertices and 3^n faces, exactly."""
+    n = datum.n
+    lam = tuple(Fraction(v) for v in lam)
+    if any(v <= 0 for v in lam):
+        raise ValueError("lambda must be regular dominant "
+                         "(all fundamental-weight coordinates > 0)")
+    lam_alpha = datum.weight_to_root_coords(lam)
+    verts = vertices(datum, lam)
+    poly = HPolytope(datum=datum, lam=lam, vertices=verts,
+                     cap_values=lam_alpha)
+    for J, v in verts.items():
         for i in range(n):
-            assert poly.wall_value(i, v) >= 0
-            assert poly.cap_value(i, v) <= lam_alpha[i]
+            if poly.wall_value(i, v) < 0 or \
+                    poly.cap_value(i, v) > lam_alpha[i]:
+                raise AssertionError("vertex %s = %s violates inequality %d"
+                                     % (J, v, i))
 
     faces = {}
-    for J in _subsets(range(n)):
+    for J in rootdata.subsets(range(n)):
         J = tuple(sorted(J))
-        for K in _subsets(J):
+        for K in rootdata.subsets(J):
             K = tuple(sorted(K))
             vjs = tuple(sorted(
-                J2 for J2 in vertices if set(K) <= set(J2) <= set(J)))
-            pts = [vertices[j2] for j2 in vjs]
+                J2 for J2 in verts if set(K) <= set(J2) <= set(J)))
+            pts = [verts[j2] for j2 in vjs]
             base = pts[0]
             diffs = [[p[k] - base[k] for k in range(n)] for p in pts[1:]]
             dim = linalg.rank(diffs) if diffs else 0
-            assert dim == len(J) - len(K)
+            if dim != len(J) - len(K):
+                raise AssertionError("face (%s, %s) has dimension %d"
+                                     % (K, J, dim))
             faces[(K, J)] = Face(K=K, J=J, dim=dim, vertex_js=vjs)
-    assert len(faces) == 3 ** n
+    if len(faces) != 3 ** n:
+        raise AssertionError("%d faces, expected 3^%d" % (len(faces), n))
     return poly, FaceLattice(faces=faces)
 
 

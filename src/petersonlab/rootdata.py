@@ -23,7 +23,6 @@ Node ordering for the built-in catalog is Bourbaki.
 
 from dataclasses import dataclass
 from fractions import Fraction
-import json
 
 from . import linalg
 
@@ -79,11 +78,6 @@ def cartan_from_entries(rows):
     return cm
 
 
-def cartan_from_json(text):
-    data = json.loads(text)
-    return cartan_from_entries(data["cartan"])
-
-
 @dataclass(frozen=True)
 class RootDatum:
     cartan: CartanMatrix
@@ -100,14 +94,6 @@ class RootDatum:
         """<alpha, alpha_j^vee> for alpha in simple-root coordinates."""
         return sum(root[i] * self.pairing[i][j] for i in range(self.n))
 
-    def weight_coords(self, i):
-        """alpha_i in fundamental-weight coordinates (row i of pairing)."""
-        return tuple(self.pairing[i])
-
-    def coroot_coords(self, j):
-        """alpha_j^vee in fundamental-coweight coordinates (column j)."""
-        return tuple(self.pairing[i][j] for i in range(self.n))
-
     def root_to_weight_coords(self, root):
         """Convert simple-root coordinates to fundamental-weight coords."""
         return tuple(sum(root[i] * self.pairing[i][j] for i in range(self.n))
@@ -123,10 +109,6 @@ class RootDatum:
         pinv = self.pairing_inverse()
         return tuple(sum(Fraction(weight[i]) * pinv[i][j] for i in range(self.n))
                      for j in range(self.n))
-
-    def coweight_pairing(self, weight, i):
-        """<weight, w_i^vee> for weight in fundamental-weight coords."""
-        return self.weight_to_root_coords(weight)[i]
 
     def symmetrizer(self):
         """Positive integers d with d[i]*pairing[i][j] == d[j]*pairing[j][i]."""
@@ -148,15 +130,6 @@ class RootDatum:
         for v in ints:
             g = gcd(g, v)
         return [v // g for v in ints]
-
-    def pair_weight_with_coroot_of(self, weight, root):
-        """<weight, alpha^vee> for a (possibly non-simple) root alpha."""
-        d = self.symmetrizer()
-        k = root
-        norm2 = sum(k[i] * k[j] * self.pairing[i][j] * d[j]
-                    for i in range(self.n) for j in range(self.n))
-        dot = 2 * sum(Fraction(weight[j]) * k[j] * d[j] for j in range(self.n))
-        return dot / norm2
 
     def coroot_of(self, root):
         """alpha^vee in simple-coroot coordinates for a positive root alpha."""
@@ -184,15 +157,6 @@ class WeylElement:
         n = len(self.matrix)
         return tuple(sum(self.matrix[i][j] * root[j] for j in range(n))
                      for i in range(n))
-
-    def act_on_weight(self, datum, weight):
-        """Action on fundamental-weight coordinates."""
-        w = [Fraction(v) for v in weight]
-        for i in reversed(self.word):
-            c = w[i]
-            row = datum.pairing[i]
-            w = [w[j] - c * row[j] for j in range(datum.n)]
-        return tuple(w)
 
 
 def _reflection_matrix(datum, i):
@@ -282,23 +246,24 @@ def involution_star(datum):
     return tuple(star)
 
 
-def dynkin_components(datum):
-    """Connected components of the Dynkin graph, as sorted index lists."""
-    n = datum.n
-    seen = [False] * n
+def dynkin_components(datum, nodes=None):
+    """Connected components of the Dynkin graph, or of its subgraph on
+    nodes, as sorted index lists in order of their least node."""
+    nodes = sorted(set(range(datum.n) if nodes is None else nodes))
+    seen = set()
     blocks = []
-    for start in range(n):
-        if seen[start]:
+    for start in nodes:
+        if start in seen:
             continue
         block = []
         stack = [start]
-        seen[start] = True
+        seen.add(start)
         while stack:
             i = stack.pop()
             block.append(i)
-            for j in range(n):
-                if not seen[j] and i != j and datum.pairing[i][j] != 0:
-                    seen[j] = True
+            for j in nodes:
+                if j not in seen and datum.pairing[i][j] != 0:
+                    seen.add(j)
                     stack.append(j)
         blocks.append(sorted(block))
     return blocks
@@ -309,6 +274,15 @@ def fundamental_exponents(datum):
     pinv = datum.pairing_inverse()
     return tuple(linalg.lcm([v.denominator for v in pinv[i]])
                  for i in range(datum.n))
+
+
+def subsets(items):
+    """All subsets of items as tuples, in binary-counting order: the k-th
+    holds the items at the set bits of k."""
+    out = [()]
+    for x in items:
+        out += [s + (x,) for s in out]
+    return out
 
 
 def positive_roots_supported_on(datum, J):

@@ -9,9 +9,10 @@ log-linear canonicalization has irrational solutions.
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import math
 
-from . import linalg
+from . import linalg, polytope
 
 EQUIV_RTOL = 1e-10
 
@@ -149,22 +150,21 @@ class MomentData:
                            #   x exponents, y exponents, weight coords)
 
 
-_moment_cache = {}
-
-
 def moment_data(poly):
-    datum = poly.datum
-    key = (id(datum), poly.lam)
-    hit = _moment_cache.get(key)
-    if hit is not None:
-        return hit
+    """The lattice-point data of P^lambda, shared by every polytope of equal
+    datum and lambda."""
+    return _moment_data(poly.datum, poly.lam)
+
+
+@functools.lru_cache(maxsize=32)
+def _moment_data(datum, lam):
     n = datum.n
     denoms = []
-    for v in list(poly.vertices.values()) + [poly.lam]:
+    for v in list(polytope.vertices(datum, lam).values()) + [lam]:
         alpha = datum.weight_to_root_coords(v)
         denoms.extend(Fraction(a).denominator for a in alpha)
     N = linalg.lcm(denoms)
-    lam_alpha = datum.weight_to_root_coords(poly.lam)
+    lam_alpha = datum.weight_to_root_coords(lam)
     c = [int(N * a) for a in lam_alpha]
 
     pts = []
@@ -184,9 +184,7 @@ def moment_data(poly):
             sweep(prefix + [k])
 
     sweep([])
-    data = MomentData(datum=datum, lam=poly.lam, dilate=N, points=tuple(pts))
-    _moment_cache[key] = data
-    return data
+    return MomentData(datum=datum, lam=lam, dilate=N, points=tuple(pts))
 
 
 def moment_map(p, poly):

@@ -78,14 +78,6 @@ def _ws(type_name):
     return grouprep.workspace(rootdata.datum_from_name(type_name))
 
 
-def _subsets(items):
-    items = list(items)
-    out = [()]
-    for x in items:
-        out += [s + (x,) for s in out]
-    return out
-
-
 def _per_subset(total, n):
     return max(1, -(-total // (2 ** n)))
 
@@ -108,7 +100,7 @@ def suite_lemma53(type_name, samples, seed):
     rep = VerificationReport("lemma53", type_name, seed)
     ws = _ws(type_name)
     claim = SUITE_CLAIMS["lemma53"]
-    for J in _subsets(range(ws.datum.n)):
+    for J in rootdata.subsets(range(ws.datum.n)):
         pts = peterson.sample_points(ws, J, samples, seed=seed)
         for p in pts:
             g = peterson.element(ws, p)
@@ -127,7 +119,7 @@ def suite_prop44(type_name, samples, seed):
     claim = SUITE_CLAIMS["prop44"]
     rng = random.Random(seed)
     per = _per_subset(samples, ws.datum.n)
-    for J in _subsets(range(ws.datum.n)):
+    for J in rootdata.subsets(range(ws.datum.n)):
         w = rootdata.longest_element(ws.datum, J)
         for _ in range(per):
             s = grouprep.tnn_sample(ws.datum, w, rng=rng)
@@ -146,7 +138,7 @@ def suite_prop35(type_name, samples, seed):
     claim = SUITE_CLAIMS["prop35"]
     rng = random.Random(seed)
     n = ws.datum.n
-    for J in _subsets(range(n)):
+    for J in rootdata.subsets(range(n)):
         if not J:
             continue
         sub = peterson.component_datum(ws.datum, J)
@@ -228,7 +220,7 @@ def suite_psi_strata(type_name, samples, seed):
     claim = SUITE_CLAIMS["psi-strata"]
     datum = ws.datum
     per = min(_per_subset(samples, datum.n), 12)
-    for J in _subsets(range(datum.n)):
+    for J in rootdata.subsets(range(datum.n)):
         pts = peterson.sample_points(ws, J, per, seed=seed, tnn_only=True)
         pts = list({p.coords: p for p in pts}.values())
         canon = []
@@ -350,7 +342,7 @@ def suite_theorem59(type_name, samples, seed):
             rep.check(resid < 1e-9, tag + " residual", "< 1e-9", resid,
                       claim)
             x = peterson.unipotent_part(ws, p)
-            mat = x.matrix(ws.fundamental_rep(0, as_float=True))
+            mat = x.matrix(ws.fundamental_rep(0))
             tnn_ok = grouprep.tnn_membership_typeA(mat, tol=1e-9)
             rep.check(tnn_ok, tag + " minor test", True, tnn_ok, claim)
             probes = []

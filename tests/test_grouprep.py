@@ -253,3 +253,13 @@ def test_workspace_shared_by_value():
     assert grouprep.workspace(sub) is grouprep.workspace(a2)
     assert grouprep.workspace(a2).datum == a2
     assert grouprep.workspace.cache_info().maxsize is not None
+
+
+def test_workspace_centralizer_memo():
+    for name in ("A3", "B2", "G2"):
+        ws = grouprep.Workspace(rootdata.datum_from_name(name))
+        for J in rootdata.subsets(range(ws.datum.n)):
+            basis = ws.centralizer(J)
+            assert ws.centralizer(J) is basis
+            assert ws.centralizer(reversed(J)) is basis
+            assert basis == grouprep.centralizer_basis(ws, J)

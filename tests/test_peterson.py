@@ -1,4 +1,8 @@
 from fractions import Fraction
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -122,7 +126,7 @@ def test_invert_a2_interior_target():
     got = [float(v) for v in peterson.deltas(ws, p)]
     assert max(abs(g - t) for g, t in zip(got, (2.5, 1.5))) < 1e-9
     x = peterson.unipotent_part(ws, p)
-    mat = x.matrix(ws.fundamental_rep(0, as_float=True))
+    mat = x.matrix(ws.fundamental_rep(0))
     assert grouprep.tnn_membership_typeA(mat, tol=1e-9)
 
 
@@ -136,3 +140,32 @@ def test_invert_unimplemented_rank():
     ws = _ws("A3")
     with pytest.raises(NotImplementedError):
         peterson.invert_theorem59(ws, [1, 1, 1])
+
+
+def test_classify_stratum_checks_under_python_O():
+    """The minor-outside-J check raises explicitly, so `python -O`, which
+    strips asserts, keeps it."""
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from petersonlab import grouprep, peterson, rootdata
+        print("optimize", sys.flags.optimize)
+        ws = grouprep.workspace(rootdata.datum_from_name("A2"))
+        p = peterson.make_point(ws, (0,), (Fraction(1),))
+        peterson.deltas = lambda ws, p: (Fraction(1), Fraction(2))
+        try:
+            peterson.classify_stratum(ws, p)
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            print("accepted")
+    """)
+    src = os.path.dirname(os.path.dirname(peterson.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1].startswith("raised: minor outside J must equal 1")

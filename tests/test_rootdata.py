@@ -88,6 +88,21 @@ def test_dynkin_components():
         rootdata.datum_from_name("D4")) == [[0, 1, 2, 3]]
 
 
+def test_dynkin_components_of_node_subset():
+    a2xa1 = rootdata.datum_from_name("A2xA1")
+    assert rootdata.dynkin_components(a2xa1, (2, 0)) == [[0], [2]]
+    assert rootdata.dynkin_components(a2xa1, (1, 0, 2)) == [[0, 1], [2]]
+    assert rootdata.dynkin_components(
+        rootdata.datum_from_name("A4"), (0, 1, 3)) == [[0, 1], [3]]
+    assert rootdata.dynkin_components(a2xa1, ()) == []
+
+
+def test_subsets_binary_counting_order():
+    assert rootdata.subsets("abc") == [
+        (), ("a",), ("b",), ("a", "b"), ("c",), ("a", "c"), ("b", "c"),
+        ("a", "b", "c")]
+
+
 def test_fundamental_exponents_known_values():
     cases = {"A1": (2,), "A2": (3, 3), "A3": (4, 2, 4), "B2": (1, 2)}
     for name, want in cases.items():

@@ -77,6 +77,17 @@ def test_moment_data_a1():
     assert len(data.points) == 2
 
 
+def test_moment_data_shared_by_value():
+    a2 = _datum("A2")
+    again = rootdata.build_root_datum(
+        rootdata.cartan_from_entries(rootdata.CATALOG["A2"]))
+    assert again is not a2 and again == a2
+    p1, _ = polytope.build_polytope(a2, (F(2), F(1)))
+    p2, _ = polytope.build_polytope(again, (2, 1))
+    assert toric.moment_data(p1) is toric.moment_data(p2)
+    assert toric._moment_data.cache_info().maxsize is not None
+
+
 def test_moment_map_a1_values():
     datum = _datum("A1")
     poly, _ = polytope.build_polytope(datum, (F(1),))
