@@ -34,6 +34,22 @@ def _parse_fractions(text):
     return tuple(Fraction(part) for part in text.split(","))
 
 
+def _sized(values, n, option):
+    """values, checked to hold one coordinate per node."""
+    if len(values) != n:
+        raise ValueError("%s needs %d coordinates (one per node), got %d"
+                         % (option, n, len(values)))
+    return values
+
+
+def _parse_lambda(datum, text):
+    return _sized(_parse_fractions(text), datum.n, "--lambda")
+
+
+def _parse_int_weight(datum, text, option):
+    return _sized(tuple(int(v) for v in text.split(",")), datum.n, option)
+
+
 def _parse_indices(text, n):
     """1-indexed comma list -> 0-indexed tuple."""
     if not text:
@@ -76,12 +92,11 @@ def _parse_word(text, n):
     return elem
 
 
-def _parse_cox_point(text):
+def _parse_cox_point(text, n):
     halves = text.split(";")
     if len(halves) != 2:
         raise ValueError('point must look like "x1,...,xn;y1,...,yn"')
-    x = tuple(Fraction(v) for v in halves[0].split(","))
-    y = tuple(Fraction(v) for v in halves[1].split(","))
+    x, y = (_sized(_parse_fractions(half), n, "--point") for half in halves)
     return toric.cox_point(x, y)
 
 
@@ -100,8 +115,9 @@ def _matrix_json(mat):
     return [[_render(v) for v in row] for row in mat]
 
 
-def _module_matrices(type_name, weight):
+def _module_matrices(type_name, weight_text):
     ws = grouprep.Workspace(_datum(type_name))
+    weight = _parse_int_weight(ws.datum, weight_text, "--weight")
     rep = ws.rep(weight)
     mod = rep.module
     n = ws.datum.n
@@ -195,8 +211,7 @@ def cmd_rootdata_show(args):
 
 
 def cmd_liealg_dump(args):
-    weight = tuple(int(v) for v in args.weight.split(","))
-    data = _module_matrices(args.type, weight)
+    data = _module_matrices(args.type, args.weight)
     _write_or_print(_dumps(data), getattr(args, "out", None))
     return 0
 
@@ -209,7 +224,7 @@ def cmd_group_eval(args):
         rep = ws.adjoint_rep()
         module_name = "adjoint"
     else:
-        weight = tuple(int(v) for v in args.module.split(","))
+        weight = _parse_int_weight(datum, args.module, "--module")
         rep = ws.rep(weight)
         module_name = ",".join(str(v) for v in weight)
     mat = g.matrix(rep)
@@ -257,8 +272,8 @@ def cmd_psi_map(args):
 
 
 def cmd_polytope_build(args):
-    lam = _parse_fractions(args.lam)
     datum = _datum(args.type)
+    lam = _parse_lambda(datum, args.lam)
     poly, lattice = polytope.build_polytope(datum, lam)
     if args.off:
         _write_or_print(_off_text(args.type, lam), args.off)
@@ -279,7 +294,7 @@ def cmd_polytope_build(args):
 
 def cmd_toric_canon(args):
     datum = _datum(args.type)
-    p = _parse_cox_point(args.point)
+    p = _parse_cox_point(args.point, datum.n)
     c = toric.canonicalize(datum, p)
     K, J = c.label
     out = {
@@ -298,9 +313,9 @@ def cmd_toric_canon(args):
 
 def cmd_toric_moment(args):
     datum = _datum(args.type)
-    lam = _parse_fractions(args.lam)
+    lam = _parse_lambda(datum, args.lam)
     poly, _ = polytope.build_polytope(datum, lam)
-    p = _parse_cox_point(args.point)
+    p = _parse_cox_point(args.point, datum.n)
     mu = toric.moment_map(p, poly)
     data = toric.moment_data(poly)
     out = {
@@ -337,16 +352,15 @@ def cmd_export(args):
     if kind == "off":
         if not (args.type and args.lam):
             raise ValueError("export off needs --type and --lambda")
-        _write_or_print(_off_text(args.type, _parse_fractions(args.lam)),
-                        args.out)
+        lam = _parse_lambda(_datum(args.type), args.lam)
+        _write_or_print(_off_text(args.type, lam), args.out)
         return 0
     if kind == "facelattice-json":
         if not (args.type and args.lam):
             raise ValueError("export facelattice-json needs --type and "
                              "--lambda")
-        _write_or_print(
-            _dumps(_facelattice_json(args.type, _parse_fractions(args.lam))),
-            args.out)
+        lam = _parse_lambda(_datum(args.type), args.lam)
+        _write_or_print(_dumps(_facelattice_json(args.type, lam)), args.out)
         return 0
     if kind == "report-json":
         if not args.suite:
@@ -359,8 +373,7 @@ def cmd_export(args):
         if not (args.type and args.weight):
             raise ValueError("export matrices-json needs --type and "
                              "--weight")
-        weight = tuple(int(v) for v in args.weight.split(","))
-        _write_or_print(_dumps(_module_matrices(args.type, weight)),
+        _write_or_print(_dumps(_module_matrices(args.type, args.weight)),
                         args.out)
         return 0
     raise ValueError("unknown export kind %r" % kind)

@@ -443,14 +443,9 @@ def centralizer_basis(ws, J):
         kernel = linalg.kernel_basis(a)
     basis = []
     for vec in kernel:
-        denom = linalg.lcm([v.denominator for v in vec if v] or [1])
-        ints = [v * denom for v in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, int(v))
-        lead = next(v for v in ints if v)
-        sign = 1 if lead > 0 else -1
-        elem = {('e', idxs[k]): Fraction(sign) * ints[k] / g
+        ints = linalg.primitive(vec)
+        sign = 1 if next(v for v in ints if v) > 0 else -1
+        elem = {('e', idxs[k]): Fraction(sign * ints[k])
                 for k in range(len(idxs)) if ints[k]}
         basis.append(elem)
     basis.sort(key=lambda el: (max(sum(datum.positive_roots[l[1]])

@@ -29,7 +29,7 @@ def weyl_dimension(datum, lam):
     rho = [1] * n
     num = ONE
     den = ONE
-    d = datum.symmetrizer()
+    d = datum.symmetrizer
     for root in datum.positive_roots:
         dot = sum(root[j] * d[j] for j in range(n))
         num *= sum((lam[j] + 1) * root[j] * d[j] for j in range(n))
@@ -121,11 +121,7 @@ class WeightModule:
         return [Fraction(w[i]) for w in self.weights]
 
     def sparse_to_dense(self, sp):
-        m = [[ZERO] * self.dimension for _ in range(self.dimension)]
-        for r, row in enumerate(sp):
-            for c, v in row:
-                m[r][c] = v
-        return m
+        return _densify(sp, self.dimension)
 
     def e_dense(self, i):
         return self.sparse_to_dense(self.act_e[i])
@@ -137,6 +133,14 @@ class WeightModule:
 def _sparsify(dense):
     return tuple(tuple((c, v) for c, v in enumerate(row) if v)
                  for row in dense)
+
+
+def _densify(rows, dim):
+    m = [[ZERO] * dim for _ in range(dim)]
+    for r, row in enumerate(rows):
+        for c, v in row:
+            m[r][c] = v
+    return m
 
 
 class DimensionCapError(ValueError):
@@ -506,19 +510,8 @@ def adjoint_module(basis):
     by_weight = {}
     for idx, mu in enumerate(weights):
         by_weight.setdefault(mu, []).append(idx)
-    e_dense = [None] * n
-    f_dense = [None] * n
-
-    def dense(sp):
-        m = [[ZERO] * dim for _ in range(dim)]
-        for r, row in enumerate(sp):
-            for c, v in row:
-                m[r][c] = v
-        return m
-
-    for i in range(n):
-        e_dense[i] = dense(act_e[i])
-        f_dense[i] = dense(act_f[i])
+    e_dense = [_densify(rows, dim) for rows in act_e]
+    f_dense = [_densify(rows, dim) for rows in act_f]
 
     gram = [[ZERO] * dim for _ in range(dim)]
     order = sorted(by_weight,

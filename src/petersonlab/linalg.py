@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Small dense routines on lists of lists of Fraction; everything the
-combinatorial layers need (solve, rank, kernel, inverse, determinant)
-without any floating point.
+combinatorial layers need (solve, rank, kernel, inverse, determinant,
+primitive integer vectors) without any floating point.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -163,9 +164,11 @@ def det(a):
     return d
 
 
-def lcm(values):
-    from math import gcd
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
+def primitive(vec):
+    """Scale a nonzero rational vector to coprime integers, keeping its
+    direction."""
+    vec = [Fraction(v) for v in vec]
+    den = lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (den // v.denominator) for v in vec]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)

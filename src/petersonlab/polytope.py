@@ -14,22 +14,11 @@ chamber, recovering vertices from exactly verified active-set solves.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import linalg, rootdata
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _primitive(vec):
-    """Scale a rational vector to coprime integers, keeping direction."""
-    denom = linalg.lcm([Fraction(v).denominator for v in vec])
-    ints = [int(Fraction(v) * denom) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(v // g for v in ints)
 
 
 @dataclass(frozen=True)
@@ -49,7 +38,7 @@ class Fan:
 
 
 def minus_coroot_ray(datum, i):
-    return _primitive([-datum.pairing[j][i] for j in range(datum.n)])
+    return linalg.primitive([-datum.pairing[j][i] for j in range(datum.n)])
 
 
 def coweight_ray(datum, i):
@@ -85,11 +74,6 @@ def cone_contains(cone, vec):
     try:
         coeffs = linalg.solve(a, [Fraction(v) for v in vec])
     except ValueError:
-        # rays do not span; check consistency by rank
-        aug = [row + [Fraction(vec[k])] for k, row in enumerate(a)]
-        if linalg.rank(aug) != linalg.rank(a):
-            return False
-        # underdetermined only if rays dependent, excluded by simpliciality
         return False
     return all(c >= 0 for c in coeffs)
 
@@ -129,8 +113,8 @@ def vertices(datum, lam):
     """The 2^n vertices of P^lambda, J -> the point on the walls of J and
     on the caps outside J."""
     n = datum.n
-    pinv = datum.pairing_inverse()
-    lam_alpha = [sum(lam[j] * pinv[j][i] for j in range(n)) for i in range(n)]
+    pinv = datum.pairing_inverse
+    lam_alpha = datum.weight_to_root_coords(lam)
     out = {}
     for J in rootdata.subsets(range(n)):
         rows = []
@@ -300,7 +284,7 @@ def _exact_hull_facets(points):
             b = -b
         else:
             raise AssertionError("proposed hyperplane does not support hull")
-        prim = _primitive(a)
+        prim = linalg.primitive(a)
         scale = next(Fraction(prim[k]) / a[k] for k in range(n) if a[k])
         facets[(prim, b * scale)] = True
     return list(facets)
@@ -336,18 +320,14 @@ def hull_oracle(datum, lam):
             scale = max(1.0, max(abs(float(v)) for v in a))
             if abs(val) < 1e-6 * scale:
                 active.append((a, b))
-        rows = []
-        rhs = []
-        for a, b in active:
-            cand = rows + [[Fraction(v) for v in a]]
-            if linalg.rank(cand) > len(rows):
-                rows = cand
-                rhs.append(Fraction(b))
-            if len(rows) == n:
-                break
-        if len(rows) < n:
+        # the first linearly independent active rows: the pivot columns
+        # of the transposed active matrix
+        a_rows = [[Fraction(v) for v in a] for a, _ in active]
+        _, pivots = linalg._echelon(linalg.transpose(a_rows))
+        if len(pivots) < n:
             continue
-        v = tuple(linalg.solve(rows, rhs))
+        v = tuple(linalg.solve([a_rows[p] for p in pivots],
+                               [active[p][1] for p in pivots]))
         if all(sum(a[k] * v[k] for k in range(n)) <= b for a, b in ineqs):
             verts.add(v)
     return sorted(verts)

@@ -23,6 +23,8 @@ Node ordering for the built-in catalog is Bourbaki.
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
+from math import lcm
 
 from . import linalg
 
@@ -100,18 +102,23 @@ class RootDatum:
                      for j in range(self.n))
 
     # -- inverse pairing and derived data -----------------------------
+    # Computed once per object; __eq__ and __hash__ read only the fields.
+    @functools.cached_property
     def pairing_inverse(self):
         """Rows give fundamental weights in simple-root coordinates."""
-        return linalg.inverse(linalg.frac_matrix(self.pairing))
+        inv = linalg.inverse(linalg.frac_matrix(self.pairing))
+        return tuple(tuple(row) for row in inv)
 
     def weight_to_root_coords(self, weight):
         """Fundamental-weight coords -> simple-root coords (rational)."""
-        pinv = self.pairing_inverse()
+        pinv = self.pairing_inverse
         return tuple(sum(Fraction(weight[i]) * pinv[i][j] for i in range(self.n))
                      for j in range(self.n))
 
+    @functools.cached_property
     def symmetrizer(self):
-        """Positive integers d with d[i]*pairing[i][j] == d[j]*pairing[j][i]."""
+        """Coprime positive integers d with pairing[i][j]*d[j] symmetric in
+        i, j; d[i] is proportional to the squared length of alpha_i."""
         n = self.n
         d = [None] * n
         for block in dynkin_components(self):
@@ -123,17 +130,11 @@ class RootDatum:
                     if d[j] is None and self.pairing[i][j] != 0:
                         d[j] = d[i] * self.pairing[j][i] / self.pairing[i][j]
                         queue.append(j)
-        denom = linalg.lcm([v.denominator for v in d])
-        ints = [int(v * denom) for v in d]
-        from math import gcd
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        return [v // g for v in ints]
+        return linalg.primitive(d)
 
     def coroot_of(self, root):
         """alpha^vee in simple-coroot coordinates for a positive root alpha."""
-        d = self.symmetrizer()
+        d = self.symmetrizer
         norm2 = sum(root[i] * root[j] * self.pairing[i][j] * d[j]
                     for i in range(self.n) for j in range(self.n))
         return tuple(Fraction(2 * root[j] * d[j], 1) / norm2 for j in range(self.n))
@@ -271,9 +272,8 @@ def dynkin_components(datum, nodes=None):
 
 def fundamental_exponents(datum):
     """m_i = least positive integer with m_i * w_i in the root lattice."""
-    pinv = datum.pairing_inverse()
-    return tuple(linalg.lcm([v.denominator for v in pinv[i]])
-                 for i in range(datum.n))
+    return tuple(lcm(*(v.denominator for v in row))
+                 for row in datum.pairing_inverse)
 
 
 def subsets(items):

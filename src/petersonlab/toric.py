@@ -12,7 +12,7 @@ from fractions import Fraction
 import functools
 import math
 
-from . import linalg, polytope
+from . import polytope
 
 EQUIV_RTOL = 1e-10
 
@@ -163,7 +163,7 @@ def _moment_data(datum, lam):
     for v in list(polytope.vertices(datum, lam).values()) + [lam]:
         alpha = datum.weight_to_root_coords(v)
         denoms.extend(Fraction(a).denominator for a in alpha)
-    N = linalg.lcm(denoms)
+    N = math.lcm(*denoms)
     lam_alpha = datum.weight_to_root_coords(lam)
     c = [int(N * a) for a in lam_alpha]
 

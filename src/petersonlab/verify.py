@@ -371,7 +371,7 @@ def suite_moment_cells(type_name, samples, seed):
     n = datum.n
     lam = tuple(Fraction(1) for _ in range(n))
     poly, _ = polytope.build_polytope(datum, lam)
-    pinv = [[float(v) for v in row] for row in datum.pairing_inverse()]
+    pinv = [[float(v) for v in row] for row in datum.pairing_inverse]
     caps = [float(v) for v in poly.cap_values]
     rng = random.Random(seed)
     tol = 1e-9

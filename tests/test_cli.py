@@ -180,3 +180,16 @@ def test_export_missing_args_usage_error(capsys):
     code, _, err = run(capsys, "export", "off", "--type", "B2")
     assert code == 2
     assert "needs" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("polytope", "build", "--type", "A2", "--lambda", "1"),
+    ("toric", "moment", "--type", "A2", "--lambda", "1,1", "--point", "1;1"),
+    ("liealg", "dump", "--type", "A2", "--weight", "1"),
+    ("group", "eval", "--type", "A2", "--word", "x1(1)", "--module", "1"),
+    ("export", "off", "--type", "A2", "--lambda", "1"),
+])
+def test_coordinate_count_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "needs 2 coordinates" in err

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 
 from hypothesis import given, strategies as st
 
@@ -50,3 +51,14 @@ def test_mat_vec_linearity(u, v):
     lhs = linalg.mat_vec(a, [x + y for x, y in zip(u, v)])
     rhs = [x + y for x, y in zip(linalg.mat_vec(a, u), linalg.mat_vec(a, v))]
     assert lhs == rhs
+
+
+@given(st.lists(rationals, min_size=1, max_size=5).filter(any))
+def test_primitive_is_coprime_and_parallel(vec):
+    prim = linalg.primitive(vec)
+    assert all(type(v) is int for v in prim)
+    assert math.gcd(*prim) == 1
+    k = next(i for i, v in enumerate(vec) if v)
+    scale = Fraction(prim[k]) / vec[k]
+    assert scale > 0
+    assert [scale * v for v in vec] == list(prim)

@@ -1,9 +1,10 @@
 from fractions import Fraction
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from petersonlab import rootdata
+from petersonlab import linalg, rootdata
 
 F = Fraction
 
@@ -123,6 +124,32 @@ def test_fundamental_exponents_minimality():
                 smaller = datum.weight_to_root_coords(
                     tuple(F(m, p) * v for v in varpi))
                 assert any(c.denominator != 1 for c in smaller)
+
+
+def test_pairing_inverse_computed_once():
+    for name in rootdata.CATALOG:
+        datum = rootdata.datum_from_name(name)
+        assert datum.pairing_inverse is datum.pairing_inverse
+        assert [list(row) for row in datum.pairing_inverse] == \
+            linalg.inverse(linalg.frac_matrix(datum.pairing))
+
+
+def test_symmetrizer_positive_primitive_symmetrizes():
+    for name in rootdata.CATALOG:
+        datum = rootdata.datum_from_name(name)
+        d, p = datum.symmetrizer, datum.pairing
+        assert d is datum.symmetrizer
+        assert all(v > 0 for v in d) and math.gcd(*d) == 1
+        assert all(p[i][j] * d[j] == p[j][i] * d[i]
+                   for i in range(datum.n) for j in range(datum.n))
+
+
+def test_cached_values_keep_equality_and_hash():
+    a = rootdata.datum_from_name("G2")
+    b = rootdata.datum_from_name("G2")
+    a.pairing_inverse, a.symmetrizer
+    assert "symmetrizer" in vars(a) and "symmetrizer" not in vars(b)
+    assert a == b and hash(a) == hash(b)
 
 
 def test_positive_roots_supported_on():

@@ -21,3 +21,24 @@ def test_no_assert_statements():
                       for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert not found, "assert statements in src: " + ", ".join(found)
+
+
+def test_no_unused_imports():
+    """Every name a module imports is read somewhere in that module."""
+    found = []
+    for root, _, files in os.walk(SRC):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used:
+                        found.append("%s:%d %s" % (os.path.relpath(path, SRC),
+                                                   node.lineno, bound))
+    assert not found, "unused imports in src: " + ", ".join(found)
