@@ -21,8 +21,6 @@ def _render(v):
         return str(v)
     if isinstance(v, float):
         return "%.12f" % v
-    if isinstance(v, int):
-        return str(v)
     return str(v)
 
 
@@ -134,9 +132,7 @@ def _module_matrices(type_name, weight_text):
     return out
 
 
-def _facelattice_json(type_name, lam):
-    datum = _datum(type_name)
-    poly, lattice = polytope.build_polytope(datum, lam)
+def _facelattice_json(type_name, poly, lattice):
     faces = []
     for (K, J) in sorted(lattice.faces):
         f = lattice.faces[(K, J)]
@@ -152,10 +148,8 @@ def _facelattice_json(type_name, lam):
             "faces": faces}
 
 
-def _off_text(type_name, lam):
-    datum = _datum(type_name)
-    poly, lattice = polytope.build_polytope(datum, lam)
-    n = datum.n
+def _off_text(poly, lattice):
+    n = poly.datum.n
     order = sorted(poly.vertices)
     index = {j: k for k, j in enumerate(order)}
     facets = sorted((label for label, f in lattice.faces.items()
@@ -271,17 +265,21 @@ def cmd_psi_map(args):
     return 0
 
 
-def cmd_polytope_build(args):
+def _built_polytope(args):
+    """(poly, lattice) of P^lambda for --type and --lambda."""
     datum = _datum(args.type)
-    lam = _parse_lambda(datum, args.lam)
-    poly, lattice = polytope.build_polytope(datum, lam)
+    return polytope.build_polytope(datum, _parse_lambda(datum, args.lam))
+
+
+def cmd_polytope_build(args):
+    poly, lattice = _built_polytope(args)
     if args.off:
-        _write_or_print(_off_text(args.type, lam), args.off)
+        _write_or_print(_off_text(poly, lattice), args.off)
     if args.json:
-        sys.stdout.write(_dumps(_facelattice_json(args.type, lam)))
+        sys.stdout.write(_dumps(_facelattice_json(args.type, poly, lattice)))
         return 0
     if not args.off:
-        print("P^lambda for %s, lambda = %s" % (args.type, list(lam)))
+        print("P^lambda for %s, lambda = %s" % (args.type, list(poly.lam)))
         print("vertices (%d):" % len(poly.vertices))
         for J in sorted(poly.vertices):
             print("  J=%s: %s" % ([i + 1 for i in J],
@@ -312,15 +310,13 @@ def cmd_toric_canon(args):
 
 
 def cmd_toric_moment(args):
-    datum = _datum(args.type)
-    lam = _parse_lambda(datum, args.lam)
-    poly, _ = polytope.build_polytope(datum, lam)
-    p = _parse_cox_point(args.point, datum.n)
+    poly, _ = _built_polytope(args)
+    p = _parse_cox_point(args.point, poly.datum.n)
     mu = toric.moment_map(p, poly)
     data = toric.moment_data(poly)
     out = {
         "type": args.type,
-        "lambda": [_render(v) for v in lam],
+        "lambda": [_render(v) for v in poly.lam],
         "dilate": data.dilate,
         "moment": ["%.12f" % v for v in mu],
     }
@@ -352,15 +348,14 @@ def cmd_export(args):
     if kind == "off":
         if not (args.type and args.lam):
             raise ValueError("export off needs --type and --lambda")
-        lam = _parse_lambda(_datum(args.type), args.lam)
-        _write_or_print(_off_text(args.type, lam), args.out)
+        _write_or_print(_off_text(*_built_polytope(args)), args.out)
         return 0
     if kind == "facelattice-json":
         if not (args.type and args.lam):
             raise ValueError("export facelattice-json needs --type and "
                              "--lambda")
-        lam = _parse_lambda(_datum(args.type), args.lam)
-        _write_or_print(_dumps(_facelattice_json(args.type, lam)), args.out)
+        _write_or_print(_dumps(_facelattice_json(
+            args.type, *_built_polytope(args))), args.out)
         return 0
     if kind == "report-json":
         if not args.suite:

@@ -37,14 +37,6 @@ def _int_rows(rows):
                         for c, v in row) for row in rows), den)
 
 
-def _transpose_rows(rows, dim):
-    out = [[] for _ in range(dim)]
-    for r, row in enumerate(rows):
-        for c, v in row:
-            out[c].append((r, v))
-    return tuple(tuple(row) for row in out)
-
-
 def _int_exp_apply(rows, den_m, t, nums, den):
     """exp(t M) applied to nums / den, for nilpotent M = rows / den_m.
 
@@ -118,47 +110,38 @@ class Rep:
         self._label_cache[label] = rows
         return rows
 
-    def apply_word(self, word, vec, transpose=False):
-        """The word's matrix applied to a column vector; with transpose, a
-        row vector times the matrix.
+    def apply_word(self, word, vec):
+        """The word's matrix applied to a column vector.
 
         vec is converted once to integer numerators over a common
         denominator, every token is applied in integers, and the result is
         converted back once.
         """
-        tokens = word if transpose else reversed(word)
         den = lcm(*(v.denominator for v in vec))
         nums = [v.numerator * (den // v.denominator) for v in vec]
-        for token in tokens:
-            for rows, den_m, t in self._int_steps(token, transpose):
+        for token in reversed(word):
+            for rows, den_m, t in self._int_steps(token):
                 nums, den = _int_exp_apply(rows, den_m, t, nums, den)
         return [Fraction(v, den) if v else ZERO for v in nums]
 
-    def _int_steps(self, token, transpose):
+    def _int_steps(self, token):
         """(integer rows, denominator, t) of each exp(t M) in a token."""
         kind = token[0]
         if kind in ('x', 'y'):
-            return [self._int_generator(kind, token[1], transpose)
+            return [self._int_generator(kind, token[1])
                     + (Fraction(token[2]),)]
         if kind in _S_STEPS:
-            steps = [self._int_generator(k, token[1], transpose) + (t,)
-                     for k, t in _S_STEPS[kind]]
-            return steps[::-1] if transpose else steps
+            return [self._int_generator(k, token[1]) + (t,)
+                    for k, t in _S_STEPS[kind]]
         if kind == 'exp':
-            rows, den = self._int_element(token[1])
-            if transpose:
-                rows = _transpose_rows(rows, self.dim)
-            return [(rows, den, ONE)]
+            return [self._int_element(token[1]) + (ONE,)]
         raise ValueError("unknown token %r" % (token,))
 
-    def _int_generator(self, kind, i, transpose):
-        key = (kind, i, transpose)
+    def _int_generator(self, kind, i):
+        key = (kind, i)
         if key not in self._int_cache:
             act = self.module.act_e if kind == 'x' else self.module.act_f
-            rows, den = _int_rows(act[i])
-            if transpose:
-                rows = _transpose_rows(rows, self.dim)
-            self._int_cache[key] = (rows, den)
+            self._int_cache[key] = _int_rows(act[i])
         return self._int_cache[key]
 
     def _int_label(self, label):
@@ -218,7 +201,7 @@ class GroupElement:
 
     def row_apply(self, rep, row):
         """Row vector times the matrix of the element."""
-        return rep.apply_word(self.word, row, transpose=True)
+        return linalg.mat_vec(linalg.transpose(self.matrix(rep)), row)
 
     def matrix(self, rep):
         cols = [self.apply(rep, rep.unit(k)) for k in range(rep.dim)]
@@ -257,18 +240,18 @@ def exp_element(elem):
 
 
 class Workspace:
-    """Lazily built registry of the modules, reps and centralizer bases of
-    one root datum."""
+    """Lazily built registry of the modules, reps, longest elements and
+    centralizer bases of one root datum."""
 
-    def __init__(self, datum, cap=liealg.DIMENSION_CAP):
+    def __init__(self, datum):
         self.datum = datum
-        self.cap = cap
         self._chev = None
         self._modules = {}
         self._reps = {}
         self._adjoint = None
         self._exponents = None
         self._centralizers = {}
+        self._longest = {}
 
     @property
     def chev(self):
@@ -285,8 +268,7 @@ class Workspace:
     def module(self, lam):
         lam = tuple(int(v) for v in lam)
         if lam not in self._modules:
-            self._modules[lam] = liealg._build_irreducible(
-                self.datum, lam, cap=self.cap)
+            self._modules[lam] = liealg._build_irreducible(self.datum, lam)
         return self._modules[lam]
 
     def rep(self, lam):
@@ -310,7 +292,14 @@ class Workspace:
         return self._adjoint
 
     def w0(self):
-        return rootdata.longest_element(self.datum, range(self.datum.n))
+        return self.longest(range(self.datum.n))
+
+    def longest(self, J):
+        """rootdata.longest_element(datum, J), built once per J."""
+        J = tuple(sorted(set(J)))
+        if J not in self._longest:
+            self._longest[J] = rootdata.longest_element(self.datum, J)
+        return self._longest[J]
 
     def centralizer(self, J):
         """centralizer_basis(self, J), built once per J and shared: callers
@@ -387,12 +376,12 @@ class TNNSample:
     element: GroupElement
 
 
-def tnn_sample(datum, w, params=None, rng=None, seed=None):
+def tnn_sample(datum, w, params=None, rng=None):
     """x_{i_1}(a_1)...x_{i_m}(a_m) along a reduced word, a_k > 0."""
     word = w.word if hasattr(w, 'word') else tuple(w)
     if params is None:
         if rng is None:
-            rng = random.Random(0 if seed is None else seed)
+            rng = random.Random(0)
         params = tuple(Fraction(rng.randint(1, 12), rng.randint(1, 12))
                        for _ in word)
     params = tuple(Fraction(p) for p in params)

@@ -26,7 +26,6 @@ ONE = Fraction(1)
 def weyl_dimension(datum, lam):
     """Weyl dimension formula, evaluated exactly."""
     n = datum.n
-    rho = [1] * n
     num = ONE
     den = ONE
     d = datum.symmetrizer
@@ -105,7 +104,8 @@ class WeightModule:
     Action matrices are stored sparsely: act_e[i] / act_f[i] are tuples
     over row index of tuples (col, value).  Weights are in
     fundamental-weight coordinates; the highest-weight vector is basis
-    index 0 and gram[0][0] = 1.
+    index 0.  An irreducible module carries its contravariant form, with
+    gram[0][0] = 1; the adjoint module carries none.
     """
 
     datum: object
@@ -114,14 +114,18 @@ class WeightModule:
     weights: tuple            # per basis index
     act_e: tuple              # per node: sparse rows
     act_f: tuple
-    gram: tuple               # dense rational symmetric matrix
+    gram: tuple = None        # dense rational symmetric matrix, else None
     labels: tuple = None      # adjoint identification, else None
 
     def act_h_diag(self, i):
         return [Fraction(w[i]) for w in self.weights]
 
     def sparse_to_dense(self, sp):
-        return _densify(sp, self.dimension)
+        m = [[ZERO] * self.dimension for _ in range(self.dimension)]
+        for r, row in enumerate(sp):
+            for c, v in row:
+                m[r][c] = v
+        return m
 
     def e_dense(self, i):
         return self.sparse_to_dense(self.act_e[i])
@@ -135,26 +139,18 @@ def _sparsify(dense):
                  for row in dense)
 
 
-def _densify(rows, dim):
-    m = [[ZERO] * dim for _ in range(dim)]
-    for r, row in enumerate(rows):
-        for c, v in row:
-            m[r][c] = v
-    return m
-
-
 class DimensionCapError(ValueError):
     pass
 
 
-def _build_irreducible(datum, lam, cap=DIMENSION_CAP):
+def _build_irreducible(datum, lam):
     lam = tuple(int(v) for v in lam)
     if any(v < 0 for v in lam):
         raise ValueError("highest weight must be dominant integral")
     dim = weyl_dimension(datum, lam)
-    if dim > cap:
-        raise DimensionCapError(
-            "module dimension %d (Weyl formula) exceeds cap %d" % (dim, cap))
+    if dim > DIMENSION_CAP:
+        raise DimensionCapError("module dimension %d (Weyl formula) exceeds "
+                                "cap %d" % (dim, DIMENSION_CAP))
     vm = _Verma(datum, lam)
 
     levels = [[()]]
@@ -308,7 +304,7 @@ def _component_matrices(datum, comp):
         d = weyl_dimension(datum, lam)
         if best is None or d < best[0]:
             best = (d, lam)
-    mod = _build_irreducible(datum, best[1], cap=DIMENSION_CAP)
+    mod = _build_irreducible(datum, best[1])
     e = {i: mod.e_dense(i) for i in comp}
     f = {i: mod.f_dense(i) for i in comp}
     return mod, e, f
@@ -399,7 +395,6 @@ def chevalley_basis(datum):
                    + [(('f', idx), tuple(-v for v in roots[idx]), fmat[idx])
                       for idx in comp_root_idxs])
         mats = {lab: m for lab, _, m in labeled}
-        vec_of = {lab: v for lab, v, _ in labeled}
         hmats = {i: comm(emat[simple_index[i]], fmat[simple_index[i]])
                  for i in comp}
         for la, va, ma in labeled:
@@ -456,17 +451,18 @@ def chevalley_basis(datum):
     )
 
 
-def build_irreducible(basis, lam, cap=DIMENSION_CAP):
+def build_irreducible(basis, lam):
     """Irreducible module V_lam as a Verma quotient (exact)."""
     datum = basis.datum if isinstance(basis, ChevalleyBasis) else basis
-    return _build_irreducible(datum, lam, cap=cap)
+    return _build_irreducible(datum, lam)
 
 
 def adjoint_module(basis):
     """The adjoint module realized by the bracket action.
 
     Basis slots carry Chevalley labels; for reducible data this is the
-    direct sum of the per-component adjoint modules in one object.
+    direct sum of the per-component adjoint modules in one object.  It
+    carries no contravariant form (gram is None).
     """
     datum = basis.datum
     n = datum.n
@@ -506,52 +502,6 @@ def adjoint_module(basis):
     act_f = tuple(_sparsify(action_matrix(('f', basis.simple_index[i])))
                   for i in range(n))
 
-    # contravariant form: solve blockwise from the top of each component
-    by_weight = {}
-    for idx, mu in enumerate(weights):
-        by_weight.setdefault(mu, []).append(idx)
-    e_dense = [_densify(rows, dim) for rows in act_e]
-    f_dense = [_densify(rows, dim) for rows in act_f]
-
-    gram = [[ZERO] * dim for _ in range(dim)]
-    order = sorted(by_weight,
-                   key=lambda mu: -sum(datum.weight_to_root_coords(mu)))
-    gblock = {}
-    for mu in order:
-        idxs = by_weight[mu]
-        ups = []
-        for i in range(n):
-            nu = tuple(mu[j] + datum.pairing[i][j] for j in range(n))
-            if nu in by_weight:
-                ups.append((i, nu))
-        if not ups:
-            if len(idxs) != 1:
-                raise AssertionError("top weight space of the adjoint "
-                                     "module has dimension %d" % len(idxs))
-            gblock[mu] = [[ONE]]
-        else:
-            rows_a = []
-            rows_b = []
-            for i, nu in ups:
-                nidx = by_weight[nu]
-                gn = gblock[nu]
-                for a, ia in enumerate(nidx):
-                    # row: coordinates of f_i . (basis ia) in the mu block
-                    arow = [f_dense[i][r][ia] for r in idxs]
-                    if not any(arow):
-                        continue
-                    brow = []
-                    for w in idxs:
-                        col = [e_dense[i][r][w] for r in nidx]
-                        brow.append(sum(gn[a][b] * col[b]
-                                        for b in range(len(nidx))))
-                    rows_a.append(arow)
-                    rows_b.append(brow)
-            gblock[mu] = linalg.solve_matrix(rows_a, rows_b)
-        for a, ia in enumerate(by_weight[mu]):
-            for b, ib in enumerate(by_weight[mu]):
-                gram[ia][ib] = gblock[mu][a][b]
-
     return WeightModule(
         datum=datum,
         highest_weight=weights[0],
@@ -559,6 +509,5 @@ def adjoint_module(basis):
         weights=weights,
         act_e=act_e,
         act_f=act_f,
-        gram=tuple(tuple(row) for row in gram),
         labels=tuple(labels),
     )

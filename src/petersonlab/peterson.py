@@ -41,8 +41,7 @@ def unipotent_part(ws, p):
 
 
 def element(ws, p):
-    wj = rootdata.longest_element(ws.datum, p.J)
-    return unipotent_part(ws, p) * grouprep.wdot(wj)
+    return unipotent_part(ws, p) * grouprep.wdot(ws.longest(p.J))
 
 
 def peterson_membership(g, ws):
@@ -139,7 +138,7 @@ def split_components(ws, p, partition):
     return out
 
 
-def sample_points(ws, J, count, seed=0, allow_zeros=True, tnn_only=False):
+def sample_points(ws, J, count, seed=0, tnn_only=False):
     """Deterministic nonnegative-coordinate samples of the J-centralizer.
 
     With tnn_only, rejection-sample until all fundamental minors of the
@@ -151,7 +150,7 @@ def sample_points(ws, J, count, seed=0, allow_zeros=True, tnn_only=False):
     while len(out) < count:
         coords = []
         for _ in J:
-            if allow_zeros and rng.random() < 0.25:
+            if rng.random() < 0.25:
                 coords.append(ZERO)
             else:
                 coords.append(Fraction(rng.randint(1, 12), rng.randint(1, 6)))
@@ -166,19 +165,23 @@ def sample_points(ws, J, count, seed=0, allow_zeros=True, tnn_only=False):
 # Low-rank inversion of the minor map
 
 
+INVERSION_TOL = 1e-9      # accepted residual of the recovered minors
+NEWTON_STEPS = 60         # Newton iterations per start
+RANDOM_STARTS = 12        # random starts after the grid starts
+
+
 class InversionError(RuntimeError):
     pass
 
 
-def _deltas_float(ws, J, wj, coords):
+def _deltas_float(ws, J, coords):
     """The minors on J at float coordinates: exact at the coordinates'
     exact binary values, rounded once."""
-    g = unipotent_part(ws, make_point(ws, J, coords)) * grouprep.wdot(wj)
-    return [float(grouprep.delta_varpi(i, g, ws)) for i in J]
+    vals = deltas(ws, make_point(ws, J, coords))
+    return [float(vals[i]) for i in J]
 
 
-def invert_theorem59(ws, target, J=None, tol=1e-9, restarts=12, seed=0,
-                     grid_starts=True):
+def invert_theorem59(ws, target, J=None, seed=0, grid_starts=True):
     """Recover nonnegative centralizer coordinates from target minors.
 
     Implemented for J whose Dynkin components have rank <= 2; Newton
@@ -196,7 +199,6 @@ def invert_theorem59(ws, target, J=None, tol=1e-9, restarts=12, seed=0,
         raise NotImplementedError("inversion implemented for rank <= 2 "
                                   "components only")
 
-    wj = rootdata.longest_element(ws.datum, J)
     pos = {j: k for k, j in enumerate(J)}
     coords = [0.0] * len(J)
     rng = random.Random(seed)
@@ -206,33 +208,31 @@ def invert_theorem59(ws, target, J=None, tol=1e-9, restarts=12, seed=0,
         if len(comp) == 1:
             sol = [tgt[0]]
         else:
-            sol = _invert_rank2(ws, J, wj, pos, comp, tgt, tol, rng,
-                                restarts=restarts, grid_starts=grid_starts)
+            sol = _invert_rank2(ws, J, pos, comp, tgt, rng, grid_starts)
         for j, v in zip(comp, sol):
             coords[pos[j]] = v
 
-    got = _deltas_float(ws, J, wj, coords)
+    got = _deltas_float(ws, J, coords)
     resid = max(abs(g - t) for g, t in zip(got, target))
-    if resid >= tol:
+    if resid >= INVERSION_TOL:
         raise InversionError("Newton inversion residual %.3e >= %.1e"
-                             % (resid, tol))
+                             % (resid, INVERSION_TOL))
     return make_point(ws, J, [Fraction(c) for c in coords])
 
 
-def _invert_rank2(ws, J, wj, pos, comp, tgt, tol, rng, budget=60,
-                  restarts=12, grid_starts=True):
+def _invert_rank2(ws, J, pos, comp, tgt, rng, grid_starts):
     def f(c2):
         full = [0.0] * len(J)
         for j, v in zip(comp, c2):
             full[pos[j]] = v
-        got = _deltas_float(ws, J, wj, full)
+        got = _deltas_float(ws, J, full)
         return [got[pos[j]] - t for j, t in zip(comp, tgt)]
 
     def newton(start):
         c = list(start)
-        for _ in range(budget):
+        for _ in range(NEWTON_STEPS):
             r = f(c)
-            if max(abs(v) for v in r) < tol * 1e-2:
+            if max(abs(v) for v in r) < INVERSION_TOL * 1e-2:
                 return c
             h = 1e-7
             jac = []
@@ -256,16 +256,16 @@ def _invert_rank2(ws, J, wj, pos, comp, tgt, tol, rng, budget=60,
     else:
         starts = []
     for start in starts + [(rng.uniform(0, 10), rng.uniform(0, 10))
-                           for _ in range(restarts)]:
+                           for _ in range(RANDOM_STARTS)]:
         sol = newton(list(start))
         if sol is None:
             continue
-        if _tnn_certified(ws, J, pos, comp, sol, tol):
+        if _tnn_certified(ws, J, pos, comp, sol):
             return sol
     raise InversionError("no convergent Newton start for targets %r" % (tgt,))
 
 
-def _tnn_certified(ws, J, pos, comp, sol, tol):
+def _tnn_certified(ws, J, pos, comp, sol):
     """Accept the solution on the nonnegative side; exact minor test in
     type A components, coordinate sign check otherwise."""
     datum = ws.datum
@@ -274,13 +274,13 @@ def _tnn_certified(ws, J, pos, comp, sol, tol):
         datum.pairing[i][j] in (0, -1, 2)
         for i in range(n) for j in range(n))
     if not simply_laced:
-        return all(v > -tol for v in sol)
+        return all(v > -INVERSION_TOL for v in sol)
     full = [0.0] * len(J)
     for j, v in zip(comp, sol):
         full[pos[j]] = v
     x = unipotent_part(ws, make_point(ws, J, full))
     mat = x.matrix(ws.fundamental_rep(0))
     try:
-        return grouprep.tnn_membership_typeA(mat, tol=tol)
+        return grouprep.tnn_membership_typeA(mat, tol=INVERSION_TOL)
     except ValueError:
-        return all(v > -tol for v in sol)
+        return all(v > -INVERSION_TOL for v in sol)

@@ -106,7 +106,7 @@ def canonicalize(datum, p):
     return CanonicalCoxPoint(label=(K, J), free=free)
 
 
-def equivalent(datum, p, q, rtol=EQUIV_RTOL):
+def equivalent(datum, p, q):
     cp = canonicalize(datum, p)
     cq = canonicalize(datum, q)
     if cp.label != cq.label:
@@ -114,7 +114,7 @@ def equivalent(datum, p, q, rtol=EQUIV_RTOL):
     for (i, a), (j, b) in zip(cp.free, cq.free):
         if i != j:
             return False
-        if abs(a - b) > rtol * max(1.0, abs(a), abs(b)):
+        if abs(a - b) > EQUIV_RTOL * max(1.0, abs(a), abs(b)):
             return False
     return True
 

@@ -82,9 +82,9 @@ def _per_subset(total, n):
     return max(1, -(-total // (2 ** n)))
 
 
-def _random_levi_word(datum, J, rng, length=6):
+def _random_levi_word(J, rng):
     word = []
-    for _ in range(length):
+    for _ in range(6):
         j = rng.choice(J)
         kind = rng.choice(("x", "y"))
         t = Fraction(rng.randint(1, 9), rng.randint(1, 4))
@@ -120,7 +120,7 @@ def suite_prop44(type_name, samples, seed):
     rng = random.Random(seed)
     per = _per_subset(samples, ws.datum.n)
     for J in rootdata.subsets(range(ws.datum.n)):
-        w = rootdata.longest_element(ws.datum, J)
+        w = ws.longest(J)
         for _ in range(per):
             s = grouprep.tnn_sample(ws.datum, w, rng=rng)
             g = s.element * grouprep.wdot(w)
@@ -144,7 +144,7 @@ def suite_prop35(type_name, samples, seed):
         sub = peterson.component_datum(ws.datum, J)
         sub_ws = grouprep.workspace(sub)
         for _ in range(samples):
-            g = _random_levi_word(ws.datum, J, rng)
+            g = _random_levi_word(J, rng)
             sub_g = grouprep.GroupElement(tuple(
                 (kind, J.index(j), t) for kind, j, t in g.word))
             for i in range(n):

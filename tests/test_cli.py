@@ -84,6 +84,28 @@ def test_polytope_build_off_and_json(tmp_path, capsys):
     assert len(data["faces"]) == 9
 
 
+@pytest.mark.parametrize("argv", [
+    ("polytope", "build", "--type", "B2", "--lambda", "1,1", "--off", "F",
+     "--json"),
+    ("export", "off", "--type", "B2", "--lambda", "1,1", "--out", "F"),
+    ("export", "facelattice-json", "--type", "B2", "--lambda", "1,1",
+     "--out", "F"),
+])
+def test_polytope_built_once_per_command(tmp_path, capsys, monkeypatch,
+                                         argv):
+    calls = []
+
+    def counted(datum, lam):
+        calls.append(lam)
+        return build(datum, lam)
+    build = cli.polytope.build_polytope
+    monkeypatch.setattr(cli.polytope, "build_polytope", counted)
+    argv = [str(tmp_path / a) if a == "F" else a for a in argv]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_toric_canon(capsys):
     code, out, _ = run(capsys, "toric", "canon", "--type", "A2",
                        "--point", "0,3;2,5", "--json")

@@ -263,3 +263,9 @@ def test_workspace_centralizer_memo():
             assert ws.centralizer(J) is basis
             assert ws.centralizer(reversed(J)) is basis
             assert basis == grouprep.centralizer_basis(ws, J)
+            wj = ws.longest(J)
+            assert ws.longest(J) is wj
+            assert ws.longest(reversed(J)) is wj
+            want = rootdata.longest_element(ws.datum, J)
+            assert wj == want and wj.word == want.word
+        assert ws.w0() is ws.longest(range(ws.datum.n))

@@ -42,3 +42,39 @@ def test_no_unused_imports():
                         found.append("%s:%d %s" % (os.path.relpath(path, SRC),
                                                    node.lineno, bound))
     assert not found, "unused imports in src: " + ", ".join(found)
+
+
+def _unused_locals(tree):
+    """(line, name) of each plain `name = ...` inside a function whose
+    name the function never reads; `_` is exempt."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        declared = {name for node in ast.walk(func)
+                    if isinstance(node, (ast.Global, ast.Nonlocal))
+                    for name in node.names}
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                if (isinstance(target, ast.Name) and target.id != "_"
+                        and target.id not in read | declared):
+                    found.append((node.lineno, target.id))
+    return sorted(set(found))
+
+
+def test_no_unused_locals():
+    """Every plain local assignment in a function is read in it."""
+    found = []
+    for root, _, files in os.walk(SRC):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            found += ["%s:%d %s" % (os.path.relpath(path, SRC), line, local)
+                      for line, local in _unused_locals(tree)]
+    assert not found, "unused locals in src: " + ", ".join(found)
