@@ -94,11 +94,11 @@ def test_polytope_build_off_and_json(tmp_path, capsys):
 def test_polytope_built_once_per_command(tmp_path, capsys, monkeypatch,
                                          argv):
     calls = []
+    build = cli.polytope.build_polytope
 
     def counted(datum, lam):
         calls.append(lam)
         return build(datum, lam)
-    build = cli.polytope.build_polytope
     monkeypatch.setattr(cli.polytope, "build_polytope", counted)
     argv = [str(tmp_path / a) if a == "F" else a for a in argv]
     code, _, _ = run(capsys, *argv)
