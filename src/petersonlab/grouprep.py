@@ -240,13 +240,12 @@ def exp_element(elem):
 
 
 class Workspace:
-    """Lazily built registry of the modules, reps, longest elements and
+    """Lazily built registry of the reps, longest elements and
     centralizer bases of one root datum."""
 
     def __init__(self, datum):
         self.datum = datum
         self._chev = None
-        self._modules = {}
         self._reps = {}
         self._adjoint = None
         self._exponents = None
@@ -265,16 +264,13 @@ class Workspace:
             self._exponents = rootdata.fundamental_exponents(self.datum)
         return self._exponents
 
-    def module(self, lam):
-        lam = tuple(int(v) for v in lam)
-        if lam not in self._modules:
-            self._modules[lam] = liealg._build_irreducible(self.datum, lam)
-        return self._modules[lam]
-
     def rep(self, lam):
+        """The rep of V(lam), on the Chevalley basis's own module if any."""
         lam = tuple(int(v) for v in lam)
         if lam not in self._reps:
-            self._reps[lam] = Rep(self.module(lam), self.chev)
+            module = (self.chev.modules.get(lam)
+                      or liealg._build_irreducible(self.datum, lam))
+            self._reps[lam] = Rep(module, self.chev)
         return self._reps[lam]
 
     def fundamental_rep(self, i):

@@ -261,6 +261,7 @@ class ChevalleyBasis:
     brackets: dict            # (labelA, labelB) -> {label: Fraction}
     coroots: dict             # root idx -> coroot in simple-coroot coords
     nconstants: dict          # (idx_a, idx_b) -> N for positive root pairs
+    modules: dict             # highest weight -> module built per component
 
     def bracket(self, a, b):
         """Bracket of two basis labels as a {label: coeff} dict."""
@@ -332,9 +333,11 @@ def chevalley_basis(datum):
     coroots = {idx: datum.coroot_of(r) for idx, r in enumerate(roots)}
     brackets = {}
     nconstants = {}
+    modules = {}
 
     for comp in comps:
         mod, esimple, fsimple = _component_matrices(datum, comp)
+        modules[mod.highest_weight] = mod
         dim = mod.dimension
         emat = {}
         fmat = {}
@@ -448,6 +451,7 @@ def chevalley_basis(datum):
         brackets=brackets,
         coroots=coroots,
         nconstants=nconstants,
+        modules=modules,
     )
 
 

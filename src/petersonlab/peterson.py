@@ -184,33 +184,40 @@ def _deltas_float(ws, J, coords):
 def invert_theorem59(ws, target, J=None, seed=0, grid_starts=True):
     """Recover nonnegative centralizer coordinates from target minors.
 
-    Implemented for J whose Dynkin components have rank <= 2; Newton
-    iteration polished from a coarse nonnegative grid start.
+    Implemented for J whose Dynkin components are of type A1 or A2, where
+    the exact type-A minor test certifies the solution; Newton iteration
+    polished from a coarse nonnegative grid start.
     """
-    n = ws.datum.n
-    J = tuple(range(n)) if J is None else tuple(sorted(set(J)))
+    datum = ws.datum
+    J = tuple(range(datum.n)) if J is None else tuple(sorted(set(J)))
     target = [float(t) for t in target]
     if len(target) != len(J):
         raise ValueError("need one target per index in J")
     if any(t < 0 for t in target):
         raise ValueError("targets must be nonnegative")
-    comps = rootdata.dynkin_components(ws.datum, J)
-    if any(len(c) > 2 for c in comps):
-        raise NotImplementedError("inversion implemented for rank <= 2 "
-                                  "components only")
+    comps = rootdata.dynkin_components(datum, J)
+    if any(len(c) > 2 or any(datum.pairing[i][j] < -1 for i in c for j in c)
+           for c in comps):
+        raise NotImplementedError("inversion implemented for components "
+                                  "of type A1 and A2 only")
 
     pos = {j: k for k, j in enumerate(J)}
+    basis = ws.centralizer(J)
     coords = [0.0] * len(J)
     rng = random.Random(seed)
 
     for comp in comps:
+        # the coordinates of the basis elements supported on comp
+        slots = [k for k, b in enumerate(basis)
+                 if any(datum.positive_roots[idx][comp[0]] for _, idx in b)]
         tgt = [target[pos[j]] for j in comp]
         if len(comp) == 1:
             sol = [tgt[0]]
         else:
-            sol = _invert_rank2(ws, J, pos, comp, tgt, rng, grid_starts)
-        for j, v in zip(comp, sol):
-            coords[pos[j]] = v
+            sol = _invert_rank2(ws, J, pos, comp, slots, tgt, rng,
+                                grid_starts)
+        for k, v in zip(slots, sol):
+            coords[k] = v
 
     got = _deltas_float(ws, J, coords)
     resid = max(abs(g - t) for g, t in zip(got, target))
@@ -220,12 +227,15 @@ def invert_theorem59(ws, target, J=None, seed=0, grid_starts=True):
     return make_point(ws, J, [Fraction(c) for c in coords])
 
 
-def _invert_rank2(ws, J, pos, comp, tgt, rng, grid_starts):
+def _invert_rank2(ws, J, pos, comp, slots, tgt, rng, grid_starts):
+    def full(c2):
+        out = [0.0] * len(J)
+        for k, v in zip(slots, c2):
+            out[k] = v
+        return out
+
     def f(c2):
-        full = [0.0] * len(J)
-        for j, v in zip(comp, c2):
-            full[pos[j]] = v
-        got = _deltas_float(ws, J, full)
+        got = _deltas_float(ws, J, full(c2))
         return [got[pos[j]] - t for j, t in zip(comp, tgt)]
 
     def newton(start):
@@ -260,27 +270,10 @@ def _invert_rank2(ws, J, pos, comp, tgt, rng, grid_starts):
         sol = newton(list(start))
         if sol is None:
             continue
-        if _tnn_certified(ws, J, pos, comp, sol):
+        # the exact type-A minor test on the fundamental module of the
+        # component's first node certifies the solution
+        x = unipotent_part(ws, make_point(ws, J, full(sol)))
+        mat = x.matrix(ws.fundamental_rep(comp[0]))
+        if grouprep.tnn_membership_typeA(mat, tol=INVERSION_TOL):
             return sol
     raise InversionError("no convergent Newton start for targets %r" % (tgt,))
-
-
-def _tnn_certified(ws, J, pos, comp, sol):
-    """Accept the solution on the nonnegative side; exact minor test in
-    type A components, coordinate sign check otherwise."""
-    datum = ws.datum
-    n = datum.n
-    simply_laced = all(
-        datum.pairing[i][j] in (0, -1, 2)
-        for i in range(n) for j in range(n))
-    if not simply_laced:
-        return all(v > -INVERSION_TOL for v in sol)
-    full = [0.0] * len(J)
-    for j, v in zip(comp, sol):
-        full[pos[j]] = v
-    x = unipotent_part(ws, make_point(ws, J, full))
-    mat = x.matrix(ws.fundamental_rep(0))
-    try:
-        return grouprep.tnn_membership_typeA(mat, tol=INVERSION_TOL)
-    except ValueError:
-        return all(v > -INVERSION_TOL for v in sol)

@@ -7,13 +7,15 @@ these bases <w_i, alpha_j^vee> = delta_ij and the polytope inequalities
 become linear forms with exact rational coefficients.
 
 The hull oracle is deliberately independent of the H-representation: it
-computes the Weyl-orbit hull (float qhull proposes facets, every
-hyperplane is re-derived and certified exactly) and clips by the
-chamber, recovering vertices from exactly verified active-set solves.
+computes the Weyl-orbit hull and clips it by the chamber.  Float qhull
+only proposes: it names the points of each facet and the halfspaces of
+each vertex, and every hyperplane and vertex is then derived exactly and
+certified once against every point or inequality.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg, rootdata
 
@@ -252,10 +254,13 @@ def weyl_orbit(datum, lam):
 
 
 def _exact_hull_facets(points):
-    """Certified supporting hyperplanes (a, b) with a.x <= b for all points.
+    """Certified supporting hyperplanes (a, b) with a.x <= b for all points,
+    a a primitive integer vector.
 
-    Float qhull proposes candidate facets; each hyperplane is recomputed
-    exactly from incident points and verified against the whole set.
+    Float qhull only proposes: each simplex of its triangulation gives
+    its hyperplane exactly from the simplex's points (degenerate
+    simplices are skipped), oriented by qhull's outward normal, and each
+    distinct hyperplane is certified against the whole set once.
     """
     n = len(points[0])
     if n == 1:
@@ -264,29 +269,25 @@ def _exact_hull_facets(points):
         return [((Fraction(-1),), -lo), ((Fraction(1),), hi)]
     import numpy as np
     from scipy.spatial import ConvexHull
-    arr = np.array([[float(v) for v in p] for p in points])
-    hull = ConvexHull(arr)
+    hull = ConvexHull(np.array([[float(v) for v in p] for p in points]))
     facets = {}
-    for simplex in hull.simplices:
-        pts = [points[k] for k in simplex]
-        base = pts[0]
-        diffs = [[p[k] - base[k] for k in range(n)] for p in pts[1:]]
-        normals = linalg.kernel_basis(diffs)
+    for simplex, outward in zip(hull.simplices, hull.equations):
+        base, *rest = (points[k] for k in simplex)
+        normals = linalg.kernel_basis(
+            [[p[k] - base[k] for k in range(n)] for p in rest])
         if len(normals) != 1:
             continue
-        a = list(normals[0])
-        b = sum(a[k] * base[k] for k in range(n))
-        vals = [sum(a[k] * p[k] for k in range(n)) for p in points]
-        if all(v <= b for v in vals):
-            pass
-        elif all(v >= b for v in vals):
-            a = [-v for v in a]
-            b = -b
-        else:
-            raise AssertionError("proposed hyperplane does not support hull")
-        prim = linalg.primitive(a)
-        scale = next(Fraction(prim[k]) / a[k] for k in range(n) if a[k])
-        facets[(prim, b * scale)] = True
+        a = linalg.primitive(normals[0])
+        if sum(v * w for v, w in zip(a, outward)) < 0:
+            a = tuple(-v for v in a)
+        facets[(a, sum(a[k] * base[k] for k in range(n)))] = True
+    # integer dot products: the points as numerators over one denominator
+    den = lcm(*(v.denominator for p in points for v in p))
+    nums = [[v.numerator * (den // v.denominator) for v in p] for p in points]
+    for a, b in facets:
+        if any(sum(x * y for x, y in zip(a, p)) > b * den for p in nums):
+            raise AssertionError("proposed hyperplane %s.x <= %s does not "
+                                 "support the hull" % (a, b))
     return list(facets)
 
 
@@ -312,22 +313,16 @@ def hull_oracle(datum, lam):
     interior = np.array([float(v) / 2 for v in lam])
     inter = HalfspaceIntersection(hs, interior)
 
+    # each vertex solves exactly on the halfspaces qhull lists as its own
     verts = set()
-    for pt in inter.intersections:
-        active = []
-        for a, b in ineqs:
-            val = sum(float(a[k]) * pt[k] for k in range(n)) - float(b)
-            scale = max(1.0, max(abs(float(v)) for v in a))
-            if abs(val) < 1e-6 * scale:
-                active.append((a, b))
-        # the first linearly independent active rows: the pivot columns
-        # of the transposed active matrix
-        a_rows = [[Fraction(v) for v in a] for a, _ in active]
-        _, pivots = linalg._echelon(linalg.transpose(a_rows))
-        if len(pivots) < n:
-            continue
-        v = tuple(linalg.solve([a_rows[p] for p in pivots],
-                               [active[p][1] for p in pivots]))
-        if all(sum(a[k] * v[k] for k in range(n)) <= b for a, b in ineqs):
-            verts.add(v)
+    for active in inter.dual_facets:
+        try:
+            v = tuple(linalg.solve(
+                linalg.frac_matrix(ineqs[k][0] for k in active),
+                [ineqs[k][1] for k in active]))
+        except ValueError as exc:
+            raise AssertionError("dual facet %s: %s" % (list(active), exc))
+        if any(sum(a[k] * v[k] for k in range(n)) > b for a, b in ineqs):
+            raise AssertionError("vertex %s violates an inequality" % (v,))
+        verts.add(v)
     return sorted(verts)

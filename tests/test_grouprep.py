@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from petersonlab import grouprep, linalg, peterson, rootdata
+from petersonlab import grouprep, liealg, linalg, peterson, rootdata
 
 F = Fraction
 
@@ -269,3 +269,20 @@ def test_workspace_centralizer_memo():
             want = rootdata.longest_element(ws.datum, J)
             assert wj == want and wj.word == want.word
         assert ws.w0() is ws.longest(range(ws.datum.n))
+
+
+def test_workspace_reuses_chevalley_modules(monkeypatch):
+    """The module the Chevalley basis is built from serves the rep of its
+    highest weight: on A2, V(w_1) is built once and V(w_2) once."""
+    calls = []
+    build = liealg._build_irreducible
+
+    def counted(datum, lam):
+        calls.append(tuple(lam))
+        return build(datum, lam)
+    monkeypatch.setattr(liealg, "_build_irreducible", counted)
+    ws = _ws("A2")
+    reps = [ws.fundamental_rep(0), ws.fundamental_rep(1)]
+    assert sorted(calls) == [(0, 1), (1, 0)]
+    assert list(ws.chev.modules) == [(1, 0)]
+    assert reps[0].module is ws.chev.modules[(1, 0)]

@@ -142,6 +142,30 @@ def test_invert_unimplemented_rank():
         peterson.invert_theorem59(ws, [1, 1, 1])
 
 
+@pytest.mark.parametrize("name, target", [("B2", [1.0, 3.0]),
+                                          ("G2", [1.0, 1.0])])
+def test_invert_refuses_components_not_of_type_a(name, target):
+    """No exact minor test certifies a Newton solution on B2 or G2, and
+    nonnegative coordinates do not: on B2, (1, 1) has Delta_1 = -11/12."""
+    ws = _ws(name)
+    if name == "B2":
+        p = peterson.make_point(ws, (0, 1), (F(1), F(1)))
+        assert peterson.deltas(ws, p)[0] == F(-11, 12)
+    with pytest.raises(NotImplementedError):
+        peterson.invert_theorem59(ws, target)
+
+
+@pytest.mark.parametrize("name, target", [("A1xA1", [1.0, 2.0]),
+                                          ("A2xA1", [2.5, 1.5, 3.0])])
+def test_invert_reducible_targets(name, target):
+    """Each component's solution lands on the coordinates of the
+    centralizer basis elements supported on it."""
+    ws = _ws(name)
+    p = peterson.invert_theorem59(ws, target)
+    got = [float(v) for v in peterson.deltas(ws, p)]
+    assert max(abs(g - t) for g, t in zip(got, target)) < 1e-9
+
+
 def test_classify_stratum_checks_under_python_O():
     """The minor-outside-J check raises explicitly, so `python -O`, which
     strips asserts, keeps it."""

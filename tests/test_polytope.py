@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 import random
 
 import pytest
@@ -102,6 +103,29 @@ def test_hull_oracle_matches_h_representation_at_rho():
         poly, _ = polytope.build_polytope(datum, lam)
         assert sorted(poly.vertices.values()) == \
             polytope.hull_oracle(datum, lam)
+
+
+def test_hull_facets_at_rho():
+    """At rho the orbit hull has one facet per W-translate of each
+    fundamental weight's direction: sum_i |W|/|W_{S-i}| of them."""
+    expected = {"A2": 6, "B2": 8, "G2": 12, "A3": 14, "B3": 26, "C3": 26,
+                "A4": 30, "D4": 48}
+    for name, count in expected.items():
+        datum = _datum(name)
+        n = datum.n
+        orbit = polytope.weyl_orbit(datum, tuple(F(1) for _ in range(n)))
+        facets = polytope._exact_hull_facets(orbit)
+        assert len(set(facets)) == len(facets) == count
+        omegas = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        assert count == sum(len(polytope.weyl_orbit(datum, w))
+                            for w in omegas)
+        for a, b in facets:
+            assert all(isinstance(v, int) for v in a)
+            assert math.gcd(*a) == 1
+            # the orbit of rho is integral
+            vals = [sum(x * int(y) for x, y in zip(a, p)) for p in orbit]
+            assert max(vals) == b
+            assert vals.count(b) >= n
 
 
 @settings(max_examples=10, deadline=None)

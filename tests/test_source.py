@@ -78,3 +78,21 @@ def test_no_unused_locals():
             found += ["%s:%d %s" % (os.path.relpath(path, SRC), line, local)
                       for line, local in _unused_locals(tree)]
     assert not found, "unused locals in src: " + ", ".join(found)
+
+
+EXACT_LAYERS = ("linalg", "rootdata", "liealg", "grouprep", "polytope")
+
+
+def test_exact_layers_have_no_float_literals():
+    """The exact layers decide in rationals: a float constant there is a
+    tolerance or a float copy of an exact decision."""
+    found = []
+    for module in EXACT_LAYERS:
+        path = os.path.join(SRC, module + ".py")
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += ["%s.py:%d %r" % (module, node.lineno, node.value)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, float)]
+    assert not found, "float literals in exact layers: " + ", ".join(found)
