@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import functools
 import itertools
-from math import gcd, lcm
+from math import gcd, lcm, prod
 import random
 
 from . import linalg, liealg, rootdata
@@ -240,8 +240,8 @@ def exp_element(elem):
 
 
 class Workspace:
-    """Lazily built registry of the reps, longest elements and
-    centralizer bases of one root datum."""
+    """Lazily built registry of the reps, longest elements, centralizer
+    bases and minor polynomials of one root datum."""
 
     def __init__(self, datum):
         self.datum = datum
@@ -251,6 +251,7 @@ class Workspace:
         self._exponents = None
         self._centralizers = {}
         self._longest = {}
+        self._minors = {}
 
     @property
     def chev(self):
@@ -304,6 +305,42 @@ class Workspace:
         if J not in self._centralizers:
             self._centralizers[J] = centralizer_basis(self, J)
         return self._centralizers[J]
+
+    def minor_polynomials(self, J):
+        """Delta_i(exp(sum c_k b_k) wdot(w_J)) for each node i, as shared
+        {exponents of c: Fraction} polynomials, built once per J.  X = sum
+        c_k b_k is nilpotent, so exp(X) u for u = wdot(w_J) v_i is the
+        finite sum of X^m u / m!, taken in integers over one denominator."""
+        J = tuple(sorted(set(J)))
+        if J not in self._minors:
+            basis = self.centralizer(J)
+            polys = []
+            for i in range(self.datum.n):
+                rep = self.fundamental_rep(i)
+                # b_k acts as rows_k / d_k: expand in the c_k / d_k
+                mats = [rep._int_element(tuple(b.items())) for b in basis]
+                u = wdot(self.longest(J)).apply(rep, rep.unit(0))
+                den = lcm(*(v.denominator for v in u))
+                term = {(0,) * len(basis):
+                        [v.numerator * (den // v.denominator) for v in u]}
+                poly, m = {}, 0
+                while term:     # den * X^m u / m!, in the c_k / d_k
+                    m += 1
+                    nxt = {}
+                    for e, vec in term.items():
+                        if vec[0]:      # each e has one degree m
+                            poly[e] = Fraction(vec[0], den * prod(
+                                d ** x for (_, d), x in zip(mats, e)))
+                        for k, (rows, _) in enumerate(mats):
+                            key = e[:k] + (e[k] + 1,) + e[k + 1:]
+                            acc = nxt.get(key, [0] * rep.dim)
+                            nxt[key] = [a + sum(v * vec[c] for c, v in row)
+                                        for a, row in zip(acc, rows)]
+                    term = {e: vec for e, vec in nxt.items() if any(vec)}
+                    den *= m
+                polys.append(poly)
+            self._minors[J] = tuple(polys)
+        return self._minors[J]
 
 
 @functools.lru_cache(maxsize=32)
@@ -367,7 +404,6 @@ def q_vector(g, ws):
 
 @dataclass(frozen=True)
 class TNNSample:
-    weyl: object
     params: tuple
     element: GroupElement
 
@@ -384,7 +420,7 @@ def tnn_sample(datum, w, params=None, rng=None):
     if any(p <= 0 for p in params):
         raise ValueError("TNN sample parameters must be positive")
     elem = GroupElement(tuple(('x', i, p) for i, p in zip(word, params)))
-    return TNNSample(weyl=w, params=params, element=elem)
+    return TNNSample(params=params, element=elem)
 
 
 def tnn_membership_typeA(mat, tol=Fraction(0)):

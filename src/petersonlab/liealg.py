@@ -259,7 +259,6 @@ class ChevalleyBasis:
     simple_index: tuple       # node i -> positive-root index of alpha_i
     defpair: dict             # root idx -> (node i, beta idx, divisor, fsign)
     brackets: dict            # (labelA, labelB) -> {label: Fraction}
-    coroots: dict             # root idx -> coroot in simple-coroot coords
     nconstants: dict          # (idx_a, idx_b) -> N for positive root pairs
     modules: dict             # highest weight -> module built per component
 
@@ -449,7 +448,6 @@ def chevalley_basis(datum):
         simple_index=simple_index,
         defpair=defpair,
         brackets=brackets,
-        coroots=coroots,
         nconstants=nconstants,
         modules=modules,
     )

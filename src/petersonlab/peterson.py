@@ -1,11 +1,13 @@
 """Peterson-variety points in normal form x * wdot(w_J), stratum
 classification by vanishing minors, the map Psi into Cox coordinates,
-component splitting for reducible data, and low-rank numerical
-inversion of the minor map.
+component splitting for reducible data, and low-rank Newton inversion
+of the minor map, read off the polynomials of `ws.minor_polynomials(J)`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+import itertools
+import math
 import random
 
 from . import grouprep, linalg, rootdata, toric
@@ -55,11 +57,16 @@ def peterson_membership(g, ws):
     return True
 
 
+def evaluate(poly, c):
+    """An {exponents: coefficient} polynomial at the point c: exact at
+    rational c, a float at float c."""
+    return sum((math.prod(map(pow, c, exps), start=coeff)
+                for exps, coeff in poly.items()), ZERO)
+
+
 def deltas(ws, p):
     """All fundamental minors of the normal-form element, exact."""
-    g = element(ws, p)
-    return tuple(grouprep.delta_varpi(i, g, ws)
-                 for i in range(ws.datum.n))
+    return tuple(evaluate(f, p.coords) for f in ws.minor_polynomials(p.J))
 
 
 def classify_stratum(ws, p, sampled_tnn=False):
@@ -81,10 +88,7 @@ def classify_stratum(ws, p, sampled_tnn=False):
 
 def minor_vector(ws, p):
     """(Delta values, q values) of the normal-form element, unvalidated."""
-    g = element(ws, p)
-    xs = tuple(grouprep.delta_varpi(i, g, ws) for i in range(ws.datum.n))
-    ys = grouprep.q_vector(g, ws)
-    return xs, ys
+    return deltas(ws, p), grouprep.q_vector(element(ws, p), ws)
 
 
 def psi(ws, p):
@@ -174,20 +178,13 @@ class InversionError(RuntimeError):
     pass
 
 
-def _deltas_float(ws, J, coords):
-    """The minors on J at float coordinates: exact at the coordinates'
-    exact binary values, rounded once."""
-    vals = deltas(ws, make_point(ws, J, coords))
-    return [float(vals[i]) for i in J]
-
-
 def invert_theorem59(ws, target, J=None, seed=0, grid_starts=True):
     """Recover nonnegative centralizer coordinates from target minors.
 
     Implemented for J whose Dynkin components are of type A1 or A2, where
-    the exact type-A minor test certifies the solution; Newton iteration
-    polished from a coarse nonnegative grid start.
-    """
+    the exact type-A minor test certifies the solution.  Newton's method
+    on the minor polynomials of all of J, from the 8 best points of a
+    nonnegative grid, then from random starts."""
     datum = ws.datum
     J = tuple(range(datum.n)) if J is None else tuple(sorted(set(J)))
     target = [float(t) for t in target]
@@ -201,79 +198,48 @@ def invert_theorem59(ws, target, J=None, seed=0, grid_starts=True):
         raise NotImplementedError("inversion implemented for components "
                                   "of type A1 and A2 only")
 
-    pos = {j: k for k, j in enumerate(J)}
-    basis = ws.centralizer(J)
-    coords = [0.0] * len(J)
-    rng = random.Random(seed)
+    polys = [ws.minor_polynomials(J)[j] for j in J]
+    grads = [[{e[:k] + (e[k] - 1,) + e[k + 1:]: a * e[k]
+               for e, a in poly.items() if e[k]} for k in range(len(J))]
+             for poly in polys]
 
-    for comp in comps:
-        # the coordinates of the basis elements supported on comp
-        slots = [k for k, b in enumerate(basis)
-                 if any(datum.positive_roots[idx][comp[0]] for _, idx in b)]
-        tgt = [target[pos[j]] for j in comp]
-        if len(comp) == 1:
-            sol = [tgt[0]]
-        else:
-            sol = _invert_rank2(ws, J, pos, comp, slots, tgt, rng,
-                                grid_starts)
-        for k, v in zip(slots, sol):
-            coords[k] = v
+    def residual(c):
+        return [evaluate(poly, c) - t for poly, t in zip(polys, target)]
 
-    got = _deltas_float(ws, J, coords)
-    resid = max(abs(g - t) for g, t in zip(got, target))
-    if resid >= INVERSION_TOL:
-        raise InversionError("Newton inversion residual %.3e >= %.1e"
-                             % (resid, INVERSION_TOL))
-    return make_point(ws, J, [Fraction(c) for c in coords])
-
-
-def _invert_rank2(ws, J, pos, comp, slots, tgt, rng, grid_starts):
-    def full(c2):
-        out = [0.0] * len(J)
-        for k, v in zip(slots, c2):
-            out[k] = v
-        return out
-
-    def f(c2):
-        got = _deltas_float(ws, J, full(c2))
-        return [got[pos[j]] - t for j, t in zip(comp, tgt)]
-
-    def newton(start):
-        c = list(start)
-        for _ in range(NEWTON_STEPS):
-            r = f(c)
-            if max(abs(v) for v in r) < INVERSION_TOL * 1e-2:
-                return c
-            h = 1e-7
-            jac = []
-            for k in range(2):
-                cp = list(c)
-                cp[k] += h
-                rp = f(cp)
-                jac.append([(rp[m] - r[m]) / h for m in range(2)])
-            det = jac[0][0] * jac[1][1] - jac[1][0] * jac[0][1]
-            if det == 0:
-                return None
-            dx = (r[0] * jac[1][1] - r[1] * jac[1][0]) / det
-            dy = (r[1] * jac[0][0] - r[0] * jac[0][1]) / det
-            c = [c[0] - dx, c[1] - dy]
+    def newton(c):
+        try:
+            for _ in range(NEWTON_STEPS):
+                r = residual(c)
+                if max(map(abs, r)) < INVERSION_TOL * 1e-2:
+                    return c
+                jac = [[evaluate(d, c) for d in row] for row in grads]
+                step = linalg.solve(jac, r)
+                c = [a - b for a, b in zip(c, step)]
+        except (ValueError, OverflowError):  # singular Jacobian, divergence
+            pass
         return None
 
-    if grid_starts:
-        grid = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0]
-        starts = sorted(((a, b) for a in grid for b in grid),
-                        key=lambda s: max(abs(v) for v in f(list(s))))[:8]
-    else:
-        starts = []
-    for start in starts + [(rng.uniform(0, 10), rng.uniform(0, 10))
+    grid = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0] if grid_starts else []
+    starts = sorted(itertools.product(grid, repeat=len(J)),
+                    key=lambda s: max(map(abs, residual(s))))[:8]
+    rng = random.Random(seed)
+    for start in starts + [[rng.uniform(0, 10) for _ in J]
                            for _ in range(RANDOM_STARTS)]:
-        sol = newton(list(start))
-        if sol is None:
+        coords = newton(start)
+        if coords is None:
             continue
-        # the exact type-A minor test on the fundamental module of the
+        # the exact type-A minor test on the fundamental module of each
         # component's first node certifies the solution
-        x = unipotent_part(ws, make_point(ws, J, full(sol)))
-        mat = x.matrix(ws.fundamental_rep(comp[0]))
-        if grouprep.tnn_membership_typeA(mat, tol=INVERSION_TOL):
-            return sol
-    raise InversionError("no convergent Newton start for targets %r" % (tgt,))
+        p = make_point(ws, J, coords)
+        x = unipotent_part(ws, p)
+        if all(grouprep.tnn_membership_typeA(
+                x.matrix(ws.fundamental_rep(comp[0])), tol=INVERSION_TOL)
+               for comp in comps):
+            resid = max(abs(float(evaluate(poly, p.coords)) - t)
+                        for poly, t in zip(polys, target))
+            if resid >= INVERSION_TOL:
+                raise InversionError("Newton inversion residual %.3e >= %.1e"
+                                     % (resid, INVERSION_TOL))
+            return p
+    raise InversionError("no convergent Newton start for targets %r"
+                         % (target,))

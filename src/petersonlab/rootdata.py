@@ -85,7 +85,6 @@ class RootDatum:
     cartan: CartanMatrix
     pairing: tuple            # pairing[i][j] = <alpha_i, alpha_j^vee>
     positive_roots: tuple     # simple-root coordinates, sorted by height
-    heights: tuple
 
     @property
     def n(self):
@@ -150,10 +149,6 @@ class WeylElement:
     word: tuple
     matrix: tuple   # action on simple-root coordinates, columns = images
 
-    @property
-    def length(self):
-        return len(self.word)
-
     def act_on_root(self, root):
         n = len(self.matrix)
         return tuple(sum(self.matrix[i][j] * root[j] for j in range(n))
@@ -206,7 +201,6 @@ def build_root_datum(cartan):
         cartan=cartan,
         pairing=pairing,
         positive_roots=tuple(roots),
-        heights=tuple(sum(r) for r in roots),
     )
 
 

@@ -188,21 +188,23 @@ def _moment_data(datum, lam):
 
 
 def moment_map(p, poly):
-    """Lattice-point weighted average, rescaled to P^lambda (floats)."""
+    """Lattice-point weighted average, rescaled to P^lambda (floats), taken
+    in the log domain (log-sum-exp) so that huge coordinates fit."""
     p.validate()
     data = moment_data(poly)
     n = poly.datum.n
+    logs = [math.log(v) if v else -math.inf for v in map(float, p.x + p.y)]
+    chars = [(sum([e * l for e, l in zip(xexp + yexp, logs) if e]), wt)
+             for _, xexp, yexp, wt in data.points]
+    top = max(l for l, _ in chars)
+    if top == -math.inf:
+        raise AssertionError("character sum vanished")
     total = 0.0
     acc = [0.0] * n
-    for _, xexp, yexp, wt in data.points:
-        chi = 1.0
-        for i in range(n):
-            chi *= float(p.x[i]) ** xexp[i]
-            chi *= float(p.y[i]) ** yexp[i]
+    for l, wt in chars:
+        chi = math.exp(l - top)
         if chi:
             total += chi
             for j in range(n):
                 acc[j] += chi * float(wt[j])
-    if total == 0.0:
-        raise AssertionError("character sum vanished")
     return tuple(v / (total * data.dilate) for v in acc)

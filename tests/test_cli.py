@@ -123,6 +123,16 @@ def test_toric_moment(capsys):
     assert len(data["moment"]) == 2
 
 
+def test_toric_moment_extreme_coordinate(capsys):
+    """A coordinate near the float range weighs the characters without
+    overflow; the image tends to the face where x_1 dominates."""
+    code, out, err = run(capsys, "toric", "moment", "--type", "A2",
+                         "--lambda", "1,1", "--point", "1e300,1;1,1",
+                         "--json")
+    assert code == 0, err
+    assert json.loads(out)["moment"] == ["1.500000000000", "0.000000000000"]
+
+
 def test_verify_pass_and_report_file(tmp_path, capsys):
     report = tmp_path / "rep.json"
     code, out, _ = run(capsys, "verify", "lemma53", "--type", "A1",
@@ -160,6 +170,13 @@ def test_verify_report_same_under_python_O(tmp_path, capsys):
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(optimized.read_text()) == json.loads(normal.read_text())
+
+
+def test_verify_theorem59_outside_a1_a2_usage_error(capsys):
+    """theorem59 certifies nothing on G2, so it runs no case there."""
+    code, out, err = run(capsys, "verify", "theorem59", "--type", "G2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "A1" in err and "A2" in err
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -268,6 +268,9 @@ def test_workspace_centralizer_memo():
             assert ws.longest(reversed(J)) is wj
             want = rootdata.longest_element(ws.datum, J)
             assert wj == want and wj.word == want.word
+            polys = ws.minor_polynomials(J)
+            assert ws.minor_polynomials(J) is polys
+            assert ws.minor_polynomials(reversed(J)) is polys
         assert ws.w0() is ws.longest(range(ws.datum.n))
 
 

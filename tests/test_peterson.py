@@ -42,6 +42,34 @@ def test_log_commutes_with_e():
     assert ws.chev.bracket_elements(elem, e_j) == {}
 
 
+def test_deltas_match_the_kernel_minors_everywhere():
+    """The minor polynomials agree with the kernel on the whole word, for
+    every catalog type and J, at zero, negative and positive rationals."""
+    for name in rootdata.CATALOG:
+        ws = _ws(name)
+        for J in rootdata.subsets(range(ws.datum.n)):
+            for coords in ([F(0)] * len(J),
+                           [F(-3, 2) + F(k, 3) for k in range(len(J))],
+                           [F(5 - 2 * k, 1 + k) for k in range(len(J))]):
+                p = peterson.make_point(ws, J, coords)
+                g = peterson.element(ws, p)
+                want = tuple(grouprep.delta_varpi(i, g, ws)
+                             for i in range(ws.datum.n))
+                assert peterson.deltas(ws, p) == want, (name, J, coords)
+
+
+def test_minor_polynomials_closed_form_a2():
+    """On A2 with J = (0, 1) and coordinates (a, b) on the centralizer
+    basis (e_1 + e_2, e_12): Delta_1 = b + a^2/2, Delta_2 = a^2/2 - b."""
+    ws = _ws("A2")
+    assert ws.minor_polynomials((0, 1)) == (
+        {(0, 1): F(1), (2, 0): F(1, 2)},
+        {(0, 1): F(-1), (2, 0): F(1, 2)})
+    d1, d2 = ws.minor_polynomials((0, 1))
+    assert peterson.evaluate(d1, (F(2), F(-1, 3))) == F(5, 3)
+    assert peterson.evaluate(d2, (0.5, 0.25)) == -0.125
+
+
 def test_classify_stratum():
     ws = _ws("A2")
     full = (0, 1)
@@ -130,10 +158,36 @@ def test_invert_a2_interior_target():
     assert grouprep.tnn_membership_typeA(mat, tol=1e-9)
 
 
+def test_inversion_does_not_load_numpy():
+    """theorem59 inverts in pure Python: numpy would raise the peak memory
+    and start-up time of every inversion run."""
+    script = textwrap.dedent("""
+        import sys
+        from petersonlab import grouprep, peterson, rootdata
+        ws = grouprep.workspace(rootdata.datum_from_name("A2"))
+        peterson.invert_theorem59(ws, [2.5, 1.5])
+        print("numpy" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(peterson.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_invert_rejects_negative_targets():
     ws = _ws("A1")
     with pytest.raises(ValueError):
         peterson.invert_theorem59(ws, [-1])
+
+
+def test_invert_extreme_target_fails_cleanly():
+    """Iterates that overflow or meet a singular Jacobian end their start;
+    with every start spent the inversion raises InversionError."""
+    ws = _ws("A2")
+    with pytest.raises(peterson.InversionError):
+        peterson.invert_theorem59(ws, [1e300, 1.0])
 
 
 def test_invert_unimplemented_rank():

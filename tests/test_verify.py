@@ -48,3 +48,17 @@ def test_all_suite_merges():
     assert rep.suite == "all"
     assert rep.failures == []
     assert rep.cases > 50
+
+
+def test_all_leaves_theorem59_out_where_it_cannot_certify(monkeypatch):
+    ran = []
+    suite = verify._SUITE_FUNCS["theorem59"]
+
+    def recorded(type_name, samples, seed):
+        ran.append(type_name)
+        return suite(type_name, samples, seed)
+    monkeypatch.setitem(verify._SUITE_FUNCS, "theorem59", recorded)
+    rep = verify.run_suite("all", "G2", seed=1, samples=1)
+    assert rep.failures == [] and ran == []
+    verify.run_suite("all", "A1", seed=1, samples=1)
+    assert ran == ["A1"]
