@@ -96,15 +96,10 @@ class Rep:
             rows = self.module.act_f[self.chev.simple_index.index(idx)]
         elif kind in ('e', 'f'):
             i, bidx, div, fsign = self.chev.defpair[idx]
-            a = self.label_rows((kind, self.chev.simple_index[i]))
-            b = self.label_rows((kind, bidx))
-            da = self.module.sparse_to_dense(a)
-            db = self.module.sparse_to_dense(b)
-            m = linalg.mat_sub(linalg.mat_mul(da, db),
-                               linalg.mat_mul(db, da))
-            scale = Fraction(fsign if kind == 'f' else 1, div)
-            rows = tuple(tuple((c, v * scale) for c, v in enumerate(row) if v)
-                         for row in m)
+            rows = liealg.commutator(
+                self.label_rows((kind, self.chev.simple_index[i])),
+                self.label_rows((kind, bidx)),
+                Fraction(fsign if kind == 'f' else 1, div))
         else:
             raise KeyError(label)
         self._label_cache[label] = rows

@@ -4,12 +4,13 @@ Modules are built as Verma quotients: f-monomials applied to a formal
 highest vector, quotiented by the radical of the recursively computed
 contravariant (Shapovalov) Gram matrix.  Everything is exact rational.
 
-Structure constants are obtained by realizing root vectors inside a
-small faithful fundamental module per Dynkin component: for each
-non-simple positive root gamma the defining pair is (i, gamma - alpha_i)
-with i the smallest qualifying node (extraspecial-pair convention), the
-divisor is p+1 for the alpha_i-string through gamma - alpha_i, and the
-f-side sign is fixed by [e_gamma, f_gamma] = h_{gamma^vee}.
+Structure constants are obtained by realizing root vectors, as sparse
+exact commutators, inside a small faithful fundamental module per Dynkin
+component: for each non-simple positive root gamma the defining pair is
+(i, gamma - alpha_i) with i the smallest qualifying node (extraspecial-
+pair convention), the divisor is p+1 for the alpha_i-string through
+gamma - alpha_i, and the f-side sign is fixed by
+[e_gamma, f_gamma] = h_{gamma^vee}.
 """
 
 from dataclasses import dataclass
@@ -296,18 +297,45 @@ class ChevalleyBasis:
         return out
 
 
-def _component_matrices(datum, comp):
-    """Dense e/f matrices of a faithful fundamental module on a component."""
+def commutator(a, b, scale=ONE):
+    """scale * (ab - ba) for matrices given as sparse rows (per row index,
+    a tuple of (col, value) pairs, as in WeightModule.act_e).  Only
+    nonzero products are formed; the result is in the same format, with
+    columns ascending and no zero entries, so equal matrices give equal
+    tuples."""
+    out = []
+    for ra, rb in zip(a, b):
+        acc = {}
+        for t, x in ra:
+            for c, y in b[t]:
+                acc[c] = acc.get(c, ZERO) + x * y
+        for t, x in rb:
+            for c, y in a[t]:
+                acc[c] = acc.get(c, ZERO) - x * y
+        out.append(tuple((c, scale * v) for c, v in sorted(acc.items()) if v))
+    return tuple(out)
+
+
+def _combination(terms, dim):
+    """sum of c * rows over the (c, rows) pairs, as sparse rows."""
+    acc = [{} for _ in range(dim)]
+    for c, rows in terms:
+        for a, row in zip(acc, rows):
+            for col, v in row:
+                a[col] = a.get(col, ZERO) + c * v
+    return tuple(tuple((col, v) for col, v in sorted(a.items()) if v)
+                 for a in acc)
+
+
+def _smallest_fundamental_module(datum, comp):
+    """A faithful fundamental module of a component: its smallest one."""
     best = None
     for i in comp:
         lam = tuple(1 if j == i else 0 for j in range(datum.n))
         d = weyl_dimension(datum, lam)
         if best is None or d < best[0]:
             best = (d, lam)
-    mod = _build_irreducible(datum, best[1])
-    e = {i: mod.e_dense(i) for i in comp}
-    f = {i: mod.f_dense(i) for i in comp}
-    return mod, e, f
+    return _build_irreducible(datum, best[1])
 
 
 def chevalley_basis(datum):
@@ -323,10 +351,6 @@ def chevalley_basis(datum):
         return vec in root_set or tuple(-v for v in vec) in root_set
 
     comps = rootdata.dynkin_components(datum)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for i in comp:
-            comp_of[i] = ci
 
     defpair = {}
     coroots = {idx: datum.coroot_of(r) for idx, r in enumerate(roots)}
@@ -335,20 +359,17 @@ def chevalley_basis(datum):
     modules = {}
 
     for comp in comps:
-        mod, esimple, fsimple = _component_matrices(datum, comp)
+        mod = _smallest_fundamental_module(datum, comp)
         modules[mod.highest_weight] = mod
         dim = mod.dimension
         emat = {}
         fmat = {}
         for i in comp:
-            emat[simple_index[i]] = esimple[i]
-            fmat[simple_index[i]] = fsimple[i]
+            emat[simple_index[i]] = mod.act_e[i]
+            fmat[simple_index[i]] = mod.act_f[i]
 
         comp_root_idxs = [idx for idx, r in enumerate(roots)
                           if all(r[j] == 0 for j in range(n) if j not in comp)]
-
-        def comm(a, b):
-            return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
         for idx in comp_root_idxs:
             root = roots[idx]
@@ -369,23 +390,20 @@ def chevalley_basis(datum):
                 else:
                     break
             div = Fraction(p + 1)
-            egam = linalg.mat_scale(comm(emat[simple_index[i]], emat[bidx]),
-                                    ONE / div)
-            if not any(any(row) for row in egam):
+            egam = commutator(emat[simple_index[i]], emat[bidx], ONE / div)
+            if not any(egam):
                 raise AssertionError("root vector %d vanishes" % idx)
-            fgam = linalg.mat_scale(comm(fmat[simple_index[i]], fmat[bidx]),
-                                    ONE / div)
-            h = comm(egam, fgam)
+            fgam = commutator(fmat[simple_index[i]], fmat[bidx], ONE / div)
+            h = commutator(egam, fgam)
             cor = coroots[idx]
-            expected = [[ZERO] * dim for _ in range(dim)]
-            for k in range(dim):
-                expected[k][k] = sum(Fraction(mod.weights[k][j]) * cor[j]
-                                     for j in range(n))
+            expected = tuple(((k, d),) if d else () for k, d in enumerate(
+                sum(Fraction(w[j]) * cor[j] for j in range(n))
+                for w in mod.weights))
             if h == expected:
                 fsign = 1
-            elif h == linalg.mat_scale(expected, Fraction(-1)):
+            elif h == _combination([(-1, expected)], dim):
                 fsign = -1
-                fgam = linalg.mat_scale(fgam, Fraction(-1))
+                fgam = _combination([(-1, fgam)], dim)
             else:
                 raise AssertionError("coroot normalization failed")
             defpair[idx] = (i, bidx, int(div), fsign)
@@ -397,36 +415,33 @@ def chevalley_basis(datum):
                    + [(('f', idx), tuple(-v for v in roots[idx]), fmat[idx])
                       for idx in comp_root_idxs])
         mats = {lab: m for lab, _, m in labeled}
-        hmats = {i: comm(emat[simple_index[i]], fmat[simple_index[i]])
+        hmats = {i: commutator(emat[simple_index[i]], fmat[simple_index[i]])
                  for i in comp}
         for la, va, ma in labeled:
             for lb, vb, mb in labeled:
                 if la >= lb:
                     continue
-                c = comm(ma, mb)
+                c = commutator(ma, mb)
                 s = tuple(x + y for x, y in zip(va, vb))
                 if all(v == 0 for v in s):
                     idx = la[1]
                     cor = coroots[idx]
                     coeffs = {('h', j): (cor[j] if la[0] == 'e' else -cor[j])
                               for j in comp if cor[j]}
-                    check = [[ZERO] * dim for _ in range(dim)]
-                    for j in comp:
-                        cj = coeffs.get(('h', j), ZERO)
-                        if cj:
-                            check = linalg.mat_add(
-                                check, linalg.mat_scale(hmats[j], cj))
+                    check = _combination(
+                        [(cj, hmats[lab[1]]) for lab, cj in coeffs.items()],
+                        dim)
                     if c != check:
                         raise AssertionError("h-part bracket mismatch")
                     brackets[(la, lb)] = coeffs
-                elif s in root_set or tuple(-v for v in s) in root_set:
+                elif is_root(s):
                     tgt = (('e', root_index[s]) if s in root_set
                            else ('f', root_index[tuple(-v for v in s)]))
                     tm = mats[tgt]
-                    pos = next(((r, cc) for r in range(dim)
-                                for cc, v in enumerate(tm[r]) if v))
-                    scal = c[pos[0]][pos[1]] / tm[pos[0]][pos[1]]
-                    if c != linalg.mat_scale(tm, scal):
+                    r, (col, v) = next((r, row[0])
+                                       for r, row in enumerate(tm) if row)
+                    scal = dict(c[r]).get(col, ZERO) / v
+                    if c != _combination([(scal, tm)], dim):
                         raise AssertionError("bracket not a root vector")
                     if scal.denominator != 1:
                         raise AssertionError("non-integral structure constant")
@@ -438,7 +453,7 @@ def chevalley_basis(datum):
                         nconstants[(la[1], lb[1])] = scal
                         nconstants[(lb[1], la[1])] = -scal
                 else:
-                    if any(any(row) for row in c):
+                    if any(c):
                         raise AssertionError("non-root bracket must vanish")
                     brackets[(la, lb)] = {}
 

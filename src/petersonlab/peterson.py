@@ -169,7 +169,7 @@ def sample_points(ws, J, count, seed=0, tnn_only=False):
 # Low-rank inversion of the minor map
 
 
-INVERSION_TOL = 1e-9      # accepted residual of the recovered minors
+INVERSION_TOL = 1e-9      # accepted residual per unit of the largest target
 NEWTON_STEPS = 60         # Newton iterations per start
 RANDOM_STARTS = 12        # random starts after the grid starts
 
@@ -184,7 +184,9 @@ def invert_theorem59(ws, target, J=None, seed=0, grid_starts=True):
     Implemented for J whose Dynkin components are of type A1 or A2, where
     the exact type-A minor test certifies the solution.  Newton's method
     on the minor polynomials of all of J, from the 8 best points of a
-    nonnegative grid, then from random starts."""
+    nonnegative grid, then from random starts.  The stop and accept
+    residuals are INVERSION_TOL * 1e-2 and INVERSION_TOL, each times
+    max(1, largest target)."""
     datum = ws.datum
     J = tuple(range(datum.n)) if J is None else tuple(sorted(set(J)))
     target = [float(t) for t in target]
@@ -198,6 +200,9 @@ def invert_theorem59(ws, target, J=None, seed=0, grid_starts=True):
         raise NotImplementedError("inversion implemented for components "
                                   "of type A1 and A2 only")
 
+    # relative to the target: the float spacing of minors near 1e6 is
+    # already about 1e-10
+    tol = INVERSION_TOL * max([1.0] + target)
     polys = [ws.minor_polynomials(J)[j] for j in J]
     grads = [[{e[:k] + (e[k] - 1,) + e[k + 1:]: a * e[k]
                for e, a in poly.items() if e[k]} for k in range(len(J))]
@@ -210,7 +215,7 @@ def invert_theorem59(ws, target, J=None, seed=0, grid_starts=True):
         try:
             for _ in range(NEWTON_STEPS):
                 r = residual(c)
-                if max(map(abs, r)) < INVERSION_TOL * 1e-2:
+                if max(map(abs, r)) < tol * 1e-2:
                     return c
                 jac = [[evaluate(d, c) for d in row] for row in grads]
                 step = linalg.solve(jac, r)
@@ -237,9 +242,9 @@ def invert_theorem59(ws, target, J=None, seed=0, grid_starts=True):
                for comp in comps):
             resid = max(abs(float(evaluate(poly, p.coords)) - t)
                         for poly, t in zip(polys, target))
-            if resid >= INVERSION_TOL:
+            if resid >= tol:
                 raise InversionError("Newton inversion residual %.3e >= %.1e"
-                                     % (resid, INVERSION_TOL))
+                                     % (resid, tol))
             return p
     raise InversionError("no convergent Newton start for targets %r"
                          % (target,))

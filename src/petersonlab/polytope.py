@@ -257,10 +257,11 @@ def _exact_hull_facets(points):
     """Certified supporting hyperplanes (a, b) with a.x <= b for all points,
     a a primitive integer vector.
 
-    Float qhull only proposes: each simplex of its triangulation gives
-    its hyperplane exactly from the simplex's points (degenerate
-    simplices are skipped), oriented by qhull's outward normal, and each
-    distinct hyperplane is certified against the whole set once.
+    Float qhull only proposes: its triangulation's simplices are grouped
+    by their `equations` row (the simplices of one facet share it), and
+    each group gives its hyperplane exactly as the one-dimensional kernel
+    over all of the group's points, oriented by that row.  Each distinct
+    hyperplane is then certified against the whole set once.
     """
     n = len(points[0])
     if n == 1:
@@ -270,13 +271,18 @@ def _exact_hull_facets(points):
     import numpy as np
     from scipy.spatial import ConvexHull
     hull = ConvexHull(np.array([[float(v) for v in p] for p in points]))
-    facets = {}
+    groups = {}
     for simplex, outward in zip(hull.simplices, hull.equations):
-        base, *rest = (points[k] for k in simplex)
+        groups.setdefault(tuple(outward), set()).update(simplex)
+    facets = {}
+    for outward, members in groups.items():
+        base, *rest = (points[k] for k in sorted(members))
         normals = linalg.kernel_basis(
             [[p[k] - base[k] for k in range(n)] for p in rest])
         if len(normals) != 1:
-            continue
+            raise AssertionError("facet group of %d points spans a kernel "
+                                 "of dimension %d" % (len(members),
+                                                      len(normals)))
         a = linalg.primitive(normals[0])
         if sum(v * w for v, w in zip(a, outward)) < 0:
             a = tuple(-v for v in a)

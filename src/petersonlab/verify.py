@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import random
 
-from . import grouprep, liealg, peterson, polytope, rootdata, toric
+from . import grouprep, liealg, linalg, peterson, polytope, rootdata, toric
 
 CATALOG_TYPES = tuple(rootdata.CATALOG)
 REDUCIBLE_TYPES = ("A1xA1", "A2xA1")
@@ -289,11 +289,8 @@ def suite_prop76(type_name, samples, seed):
                   want_dim, m.dimension, claim)
         w0mat = grouprep.wdot(ws.w0()).matrix(prep)
         gram = prep.gram()
-        d = prep.dim
-        lhs = [[sum(w0mat[a][r] * sum(gram[a][b] * w0mat[b][c]
-                                      for b in range(d) if gram[a][b])
-                    for a in range(d) if w0mat[a][r])
-                for c in range(d)] for r in range(d)]
+        lhs = linalg.mat_mul(linalg.transpose(w0mat),
+                             linalg.mat_mul(gram, w0mat))
         rep.check(lhs == gram,
                   "%s contravariant-form invariance i=%d" % (type_name, i),
                   "M^T G M = G", lhs == gram, claim)

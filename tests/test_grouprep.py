@@ -289,3 +289,23 @@ def test_workspace_reuses_chevalley_modules(monkeypatch):
     assert sorted(calls) == [(0, 1), (1, 0)]
     assert list(ws.chev.modules) == [(1, 0)]
     assert reps[0].module is ws.chev.modules[(1, 0)]
+
+
+def test_lie_layer_builds_no_dense_product(monkeypatch):
+    """Root vectors are sparse commutators: building D4's Chevalley basis
+    and the action of every root label on its fundamental reps makes no
+    dense linalg.mat_mul call."""
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def counted(a, b):
+        calls.append(len(a))
+        return mat_mul(a, b)
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    ws = _ws("D4")
+    for i in range(4):
+        rep = ws.fundamental_rep(i)
+        for idx in range(len(ws.datum.positive_roots)):
+            rep.label_rows(('e', idx))
+            rep.label_rows(('f', idx))
+    assert calls == []

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from petersonlab import liealg, rootdata
+from petersonlab import grouprep, liealg, linalg, rootdata
 
 F = Fraction
 
@@ -109,6 +109,52 @@ def test_g2_structure_constants_magnitudes():
     cb = liealg.chevalley_basis(datum)
     mags = {abs(v) for v in cb.nconstants.values() if v}
     assert mags == {1, 2, 3}
+
+
+def test_structure_constants_chevalley_theorem():
+    """On every catalog type, N_{b,a} = -N_{a,b}, and |N_{a,b}| = p + 1
+    whenever a + b is a root, with p the largest integer such that
+    b - p a is a root (Chevalley's theorem)."""
+    for name in rootdata.CATALOG:
+        datum = _datum(name)
+        cb = liealg.chevalley_basis(datum)
+        roots = datum.positive_roots
+        root_set = set(roots) | {tuple(-v for v in r) for r in roots}
+        for a, alpha in enumerate(roots):
+            for b, beta in enumerate(roots):
+                s = tuple(x + y for x, y in zip(alpha, beta))
+                if s not in root_set:
+                    assert (a, b) not in cb.nconstants
+                    continue
+                n_ab = cb.nconstants[(a, b)]
+                assert cb.nconstants[(b, a)] == -n_ab
+                p = 0
+                while tuple(y - (p + 1) * x
+                            for x, y in zip(alpha, beta)) in root_set:
+                    p += 1
+                assert abs(n_ab) == p + 1, (name, alpha, beta)
+
+
+def test_label_rows_are_commutators_of_their_defining_pairs():
+    """Every non-simple root label acts, on each fundamental rep of every
+    catalog type, as the dense commutator of its defining pair scaled by
+    fsign / divisor (f side) or 1 / divisor (e side)."""
+    for name in rootdata.CATALOG:
+        datum = _datum(name)
+        ws = grouprep.workspace(datum)
+        cb = ws.chev
+        for i in range(datum.n):
+            rep = ws.fundamental_rep(i)
+            dense = rep.module.sparse_to_dense
+            for idx, (j, bidx, div, fsign) in cb.defpair.items():
+                for kind in 'ef':
+                    a = dense(rep.label_rows((kind, cb.simple_index[j])))
+                    b = dense(rep.label_rows((kind, bidx)))
+                    want = linalg.mat_scale(
+                        linalg.mat_sub(linalg.mat_mul(a, b),
+                                       linalg.mat_mul(b, a)),
+                        F(fsign if kind == 'f' else 1, div))
+                    assert dense(rep.label_rows((kind, idx))) == want
 
 
 def test_adjoint_module_dimension_and_labels():

@@ -190,6 +190,16 @@ def test_invert_extreme_target_fails_cleanly():
         peterson.invert_theorem59(ws, [1e300, 1.0])
 
 
+@pytest.mark.parametrize("target", [[1e6, 1.0], [1e6, 1e6]])
+def test_invert_large_targets(target):
+    """The Newton tolerances scale with the largest target: near 1e6 the
+    float spacing of a minor is about 1e-10, above an absolute 1e-11."""
+    ws = _ws("A2")
+    p = peterson.invert_theorem59(ws, target)
+    got = [float(v) for v in peterson.deltas(ws, p)]
+    assert max(abs(g - t) for g, t in zip(got, target)) < 1e-9 * 1e6
+
+
 def test_invert_unimplemented_rank():
     ws = _ws("A3")
     with pytest.raises(NotImplementedError):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from petersonlab import polytope, rootdata
+from petersonlab import linalg, polytope, rootdata
 
 F = Fraction
 
@@ -126,6 +126,22 @@ def test_hull_facets_at_rho():
             vals = [sum(x * int(y) for x, y in zip(a, p)) for p in orbit]
             assert max(vals) == b
             assert vals.count(b) >= n
+
+
+def test_hull_takes_one_kernel_per_facet(monkeypatch):
+    """qhull's simplices are grouped by facet before the exact kernel: on
+    D4 at rho, 48 kernels for 48 facets (the triangulation has 1,108
+    simplices)."""
+    calls = []
+    kernel_basis = linalg.kernel_basis
+
+    def counted(a):
+        calls.append(len(a))
+        return kernel_basis(a)
+    monkeypatch.setattr(linalg, "kernel_basis", counted)
+    orbit = polytope.weyl_orbit(_datum("D4"), (F(1),) * 4)
+    assert len(polytope._exact_hull_facets(orbit)) == 48
+    assert len(calls) == 48
 
 
 @settings(max_examples=10, deadline=None)
