@@ -64,9 +64,11 @@ def _int_exp_apply(rows, den_m, t, nums, den):
     return out, den
 
 
-# ('s', i) and ('si', i) as products of exp tokens, left to right
-_S_STEPS = {'s': (('y', ONE), ('x', -ONE), ('y', ONE)),
-            'si': (('y', -ONE), ('x', ONE), ('y', -ONE))}
+# x and y tokens, and ('s', i) and ('si', i) as products of exp tokens
+# (left to right), on the actions of the Chevalley labels of node i
+_KIND = {'x': 'e', 'y': 'f'}
+_S_STEPS = {'s': (('f', ONE), ('e', -ONE), ('f', ONE)),
+            'si': (('f', -ONE), ('e', ONE), ('f', -ONE))}
 
 
 class Rep:
@@ -76,8 +78,7 @@ class Rep:
         self.module = module
         self.chev = chev
         self.dim = module.dimension
-        self._label_cache = {}
-        self._int_cache = {}      # integer rows, built on first use
+        self._int_cache = {}      # Chevalley label -> integer rows
         self._gram = None
 
     def gram(self):
@@ -86,24 +87,10 @@ class Rep:
         return self._gram
 
     def label_rows(self, label):
-        """Sparse matrix of a Chevalley basis element's action."""
-        if label in self._label_cache:
-            return self._label_cache[label]
-        kind, idx = label
-        if kind == 'e' and idx in set(self.chev.simple_index):
-            rows = self.module.act_e[self.chev.simple_index.index(idx)]
-        elif kind == 'f' and idx in set(self.chev.simple_index):
-            rows = self.module.act_f[self.chev.simple_index.index(idx)]
-        elif kind in ('e', 'f'):
-            i, bidx, div, fsign = self.chev.defpair[idx]
-            rows = liealg.commutator(
-                self.label_rows((kind, self.chev.simple_index[i])),
-                self.label_rows((kind, bidx)),
-                Fraction(fsign if kind == 'f' else 1, div))
-        else:
-            raise KeyError(label)
-        self._label_cache[label] = rows
-        return rows
+        """Sparse rational rows of a Chevalley basis element's action."""
+        rows, den = self._int_label(label)
+        return tuple(tuple((c, Fraction(v, den)) for c, v in row)
+                     for row in rows)
 
     def apply_word(self, word, vec):
         """The word's matrix applied to a column vector.
@@ -122,28 +109,37 @@ class Rep:
     def _int_steps(self, token):
         """(integer rows, denominator, t) of each exp(t M) in a token."""
         kind = token[0]
-        if kind in ('x', 'y'):
-            return [self._int_generator(kind, token[1])
-                    + (Fraction(token[2]),)]
+        simple = self.chev.simple_index
+        if kind in _KIND:
+            return [self._int_label((_KIND[kind], simple[token[1]]))
+                    + (token[2],)]
         if kind in _S_STEPS:
-            return [self._int_generator(k, token[1]) + (t,)
+            return [self._int_label((k, simple[token[1]])) + (t,)
                     for k, t in _S_STEPS[kind]]
         if kind == 'exp':
             return [self._int_element(token[1]) + (ONE,)]
         raise ValueError("unknown token %r" % (token,))
 
-    def _int_generator(self, kind, i):
-        key = (kind, i)
-        if key not in self._int_cache:
-            act = self.module.act_e if kind == 'x' else self.module.act_f
-            self._int_cache[key] = _int_rows(act[i])
-        return self._int_cache[key]
-
     def _int_label(self, label):
-        key = ('label', label)
-        if key not in self._int_cache:
-            self._int_cache[key] = _int_rows(self.label_rows(label))
-        return self._int_cache[key]
+        """(integer rows, R) of a Chevalley label's action, rows / R: a
+        simple label's from the module, any other label's as the sparse
+        commutator of its defining pair."""
+        if label not in self._int_cache:
+            kind, idx = label
+            simple = self.chev.simple_index
+            if kind not in ('e', 'f'):
+                raise KeyError(label)
+            if idx in simple:
+                act = self.module.act_e if kind == 'e' else self.module.act_f
+                rows = act[simple.index(idx)]
+            else:
+                i, bidx, div, fsign = self.chev.defpair[idx]
+                a, da = self._int_label((kind, simple[i]))
+                b, db = self._int_label((kind, bidx))
+                rows = liealg.commutator(a, b, Fraction(
+                    fsign if kind == 'f' else 1, div * da * db))
+            self._int_cache[label] = _int_rows(rows)
+        return self._int_cache[label]
 
     def _int_element(self, elem):
         """Sparse matrix of a Lie element given as ((label, coeff), ...),
@@ -151,14 +147,9 @@ class Rep:
         parts = [(Fraction(coeff), self._int_label(label))
                  for label, coeff in elem]
         den = lcm(*(c.denominator * d for c, (_, d) in parts))
-        acc = [{} for _ in range(self.dim)]
-        for c, (rows, d) in parts:
-            scale = c.numerator * (den // (c.denominator * d))
-            for a, row in zip(acc, rows):
-                for col, v in row:
-                    a[col] = a.get(col, 0) + scale * v
-        return (tuple(tuple(sorted((col, v) for col, v in a.items() if v))
-                      for a in acc), den)
+        return (liealg.combination(
+            [(c.numerator * (den // (c.denominator * d)), rows)
+             for c, (rows, d) in parts], self.dim), den)
 
     def unit(self, k):
         v = [ZERO] * self.dim
@@ -236,38 +227,33 @@ def exp_element(elem):
 
 class Workspace:
     """Lazily built registry of the reps, longest elements, centralizer
-    bases and minor polynomials of one root datum."""
+    bases and minor polynomials of one root datum, in one keyed store."""
 
     def __init__(self, datum):
         self.datum = datum
-        self._chev = None
-        self._reps = {}
-        self._adjoint = None
-        self._exponents = None
-        self._centralizers = {}
-        self._longest = {}
-        self._minors = {}
+        self._store = {}
+
+    def _once(self, key, build):
+        """The value stored under key, from build() on first use."""
+        if key not in self._store:
+            self._store[key] = build()
+        return self._store[key]
 
     @property
     def chev(self):
-        if self._chev is None:
-            self._chev = liealg.chevalley_basis(self.datum)
-        return self._chev
+        return self._once('chev', lambda: liealg.chevalley_basis(self.datum))
 
     @property
     def exponents(self):
-        if self._exponents is None:
-            self._exponents = rootdata.fundamental_exponents(self.datum)
-        return self._exponents
+        return self._once('exponents',
+                          lambda: rootdata.fundamental_exponents(self.datum))
 
     def rep(self, lam):
         """The rep of V(lam), on the Chevalley basis's own module if any."""
         lam = tuple(int(v) for v in lam)
-        if lam not in self._reps:
-            module = (self.chev.modules.get(lam)
-                      or liealg._build_irreducible(self.datum, lam))
-            self._reps[lam] = Rep(module, self.chev)
-        return self._reps[lam]
+        return self._once(('rep', lam), lambda: Rep(
+            self.chev.modules.get(lam)
+            or liealg._build_irreducible(self.datum, lam), self.chev))
 
     def fundamental_rep(self, i):
         lam = tuple(1 if j == i else 0 for j in range(self.datum.n))
@@ -279,9 +265,8 @@ class Workspace:
         return self.rep(lam)
 
     def adjoint_rep(self):
-        if self._adjoint is None:
-            self._adjoint = Rep(liealg.adjoint_module(self.chev), self.chev)
-        return self._adjoint
+        return self._once('adjoint', lambda: Rep(
+            liealg.adjoint_module(self.chev), self.chev))
 
     def w0(self):
         return self.longest(range(self.datum.n))
@@ -289,53 +274,53 @@ class Workspace:
     def longest(self, J):
         """rootdata.longest_element(datum, J), built once per J."""
         J = tuple(sorted(set(J)))
-        if J not in self._longest:
-            self._longest[J] = rootdata.longest_element(self.datum, J)
-        return self._longest[J]
+        return self._once(('longest', J),
+                          lambda: rootdata.longest_element(self.datum, J))
 
     def centralizer(self, J):
         """centralizer_basis(self, J), built once per J and shared: callers
         must not modify it."""
         J = tuple(sorted(set(J)))
-        if J not in self._centralizers:
-            self._centralizers[J] = centralizer_basis(self, J)
-        return self._centralizers[J]
+        return self._once(('centralizer', J),
+                          lambda: centralizer_basis(self, J))
 
     def minor_polynomials(self, J):
         """Delta_i(exp(sum c_k b_k) wdot(w_J)) for each node i, as shared
-        {exponents of c: Fraction} polynomials, built once per J.  X = sum
-        c_k b_k is nilpotent, so exp(X) u for u = wdot(w_J) v_i is the
-        finite sum of X^m u / m!, taken in integers over one denominator."""
+        {exponents of c: Fraction} polynomials, built once per J."""
         J = tuple(sorted(set(J)))
-        if J not in self._minors:
-            basis = self.centralizer(J)
-            polys = []
-            for i in range(self.datum.n):
-                rep = self.fundamental_rep(i)
-                # b_k acts as rows_k / d_k: expand in the c_k / d_k
-                mats = [rep._int_element(tuple(b.items())) for b in basis]
-                u = wdot(self.longest(J)).apply(rep, rep.unit(0))
-                den = lcm(*(v.denominator for v in u))
-                term = {(0,) * len(basis):
-                        [v.numerator * (den // v.denominator) for v in u]}
-                poly, m = {}, 0
-                while term:     # den * X^m u / m!, in the c_k / d_k
-                    m += 1
-                    nxt = {}
-                    for e, vec in term.items():
-                        if vec[0]:      # each e has one degree m
-                            poly[e] = Fraction(vec[0], den * prod(
-                                d ** x for (_, d), x in zip(mats, e)))
-                        for k, (rows, _) in enumerate(mats):
-                            key = e[:k] + (e[k] + 1,) + e[k + 1:]
-                            acc = nxt.get(key, [0] * rep.dim)
-                            nxt[key] = [a + sum(v * vec[c] for c, v in row)
-                                        for a, row in zip(acc, rows)]
-                    term = {e: vec for e, vec in nxt.items() if any(vec)}
-                    den *= m
-                polys.append(poly)
-            self._minors[J] = tuple(polys)
-        return self._minors[J]
+        return self._once(('minors', J), lambda: _minor_polynomials(self, J))
+
+
+def _minor_polynomials(ws, J):
+    """X = sum c_k b_k is nilpotent, so exp(X) u for u = wdot(w_J) v_i is
+    the finite sum of X^m u / m!, taken in integers over one denominator."""
+    basis = ws.centralizer(J)
+    polys = []
+    for i in range(ws.datum.n):
+        rep = ws.fundamental_rep(i)
+        # b_k acts as rows_k / d_k: expand in the c_k / d_k
+        mats = [rep._int_element(tuple(b.items())) for b in basis]
+        u = wdot(ws.longest(J)).apply(rep, rep.unit(0))
+        den = lcm(*(v.denominator for v in u))
+        term = {(0,) * len(basis):
+                [v.numerator * (den // v.denominator) for v in u]}
+        poly, m = {}, 0
+        while term:     # den * X^m u / m!, in the c_k / d_k
+            m += 1
+            nxt = {}
+            for e, vec in term.items():
+                if vec[0]:      # each e has one degree m
+                    poly[e] = Fraction(vec[0], den * prod(
+                        d ** x for (_, d), x in zip(mats, e)))
+                for k, (rows, _) in enumerate(mats):
+                    key = e[:k] + (e[k] + 1,) + e[k + 1:]
+                    acc = nxt.get(key, [0] * rep.dim)
+                    nxt[key] = [a + sum(v * vec[c] for c, v in row)
+                                for a, row in zip(acc, rows)]
+            term = {e: vec for e, vec in nxt.items() if any(vec)}
+            den *= m
+        polys.append(poly)
+    return tuple(polys)
 
 
 @functools.lru_cache(maxsize=32)
@@ -377,16 +362,10 @@ def ad_conjugate_e(g, ws):
     return g.inverse().apply(rep, regular_nilpotent_vector(ws))
 
 
-def ad_coefficient(g, label, ws):
-    """Coefficient of a Chevalley label in Ad_{g^{-1}}(e)."""
-    rep = ws.adjoint_rep()
-    vec = ad_conjugate_e(g, ws)
-    return vec[rep.module.labels.index(label)]
-
-
 def q_coefficient(i, g, ws):
     """q_i(g) = minus the f_i coefficient of Ad_{g^{-1}}(e)."""
-    return -ad_coefficient(g, ('f', ws.chev.simple_index[i]), ws)
+    labels = ws.adjoint_rep().module.labels
+    return -ad_conjugate_e(g, ws)[labels.index(('f', ws.chev.simple_index[i]))]
 
 
 def q_vector(g, ws):
@@ -403,7 +382,7 @@ class TNNSample:
     element: GroupElement
 
 
-def tnn_sample(datum, w, params=None, rng=None):
+def tnn_sample(w, params=None, rng=None):
     """x_{i_1}(a_1)...x_{i_m}(a_m) along a reduced word, a_k > 0."""
     word = w.word if hasattr(w, 'word') else tuple(w)
     if params is None:

@@ -135,9 +135,12 @@ class WeightModule:
         return self.sparse_to_dense(self.act_f[i])
 
 
-def _sparsify(dense):
-    return tuple(tuple((c, v) for c, v in enumerate(row) if v)
-                 for row in dense)
+def sparse_rows(acc):
+    """One {col: value} dict per row as sparse rows: per row, ascending
+    (col, value) pairs with no zeros, so equal matrices give equal
+    tuples."""
+    return tuple(tuple(sorted((c, v) for c, v in row.items() if v))
+                 for row in acc)
 
 
 class DimensionCapError(ValueError):
@@ -191,16 +194,11 @@ def _build_irreducible(datum, lam):
         gram_blocks[mu] = block
         gram_inv[mu] = linalg.inverse(block)
 
-    def express(weight, func_values):
-        """Coordinates in the weight-space basis from functional values."""
-        coords = linalg.mat_vec(gram_inv[weight], func_values)
-        return coords
-
     act_e = []
     act_f = []
     for i in range(datum.n):
-        fe = [[ZERO] * dim for _ in range(dim)]
-        ff = [[ZERO] * dim for _ in range(dim)]
+        e_rows = [{} for _ in range(dim)]
+        f_rows = [{} for _ in range(dim)]
         for col, b in enumerate(basis):
             mu = weights[col]
             # f_i . b
@@ -209,8 +207,8 @@ def _build_irreducible(datum, lam):
                 idxs = index_by_weight[nu]
                 word = (i,) + b
                 vals = [vm.shap(basis[a], word) for a in idxs]
-                for a, c in zip(idxs, express(nu, vals)):
-                    ff[a][col] = c
+                for a, c in zip(idxs, linalg.mat_vec(gram_inv[nu], vals)):
+                    f_rows[a][col] = c
             # e_i . b
             nu = tuple(mu[j] + datum.pairing[i][j] for j in range(datum.n))
             if nu in index_by_weight:
@@ -220,10 +218,10 @@ def _build_irreducible(datum, lam):
                 for a in idxs:
                     vals.append(sum((c * vm.shap(basis[a], w)
                                      for w, c in expansion), ZERO))
-                for a, c in zip(idxs, express(nu, vals)):
-                    fe[a][col] = c
-        act_e.append(_sparsify(fe))
-        act_f.append(_sparsify(ff))
+                for a, c in zip(idxs, linalg.mat_vec(gram_inv[nu], vals)):
+                    e_rows[a][col] = c
+        act_e.append(sparse_rows(e_rows))
+        act_f.append(sparse_rows(f_rows))
 
     gram = [[ZERO] * dim for _ in range(dim)]
     for mu, idxs in index_by_weight.items():
@@ -298,33 +296,31 @@ class ChevalleyBasis:
 
 
 def commutator(a, b, scale=ONE):
-    """scale * (ab - ba) for matrices given as sparse rows (per row index,
-    a tuple of (col, value) pairs, as in WeightModule.act_e).  Only
-    nonzero products are formed; the result is in the same format, with
-    columns ascending and no zero entries, so equal matrices give equal
-    tuples."""
+    """scale * (ab - ba) for matrices given as sparse rows (see
+    sparse_rows; as in WeightModule.act_e), in the same format.  Only
+    nonzero products are formed; the entries may be of any number type."""
     out = []
     for ra, rb in zip(a, b):
         acc = {}
         for t, x in ra:
             for c, y in b[t]:
-                acc[c] = acc.get(c, ZERO) + x * y
+                acc[c] = acc.get(c, 0) + x * y
         for t, x in rb:
             for c, y in a[t]:
-                acc[c] = acc.get(c, ZERO) - x * y
+                acc[c] = acc.get(c, 0) - x * y
         out.append(tuple((c, scale * v) for c, v in sorted(acc.items()) if v))
     return tuple(out)
 
 
-def _combination(terms, dim):
-    """sum of c * rows over the (c, rows) pairs, as sparse rows."""
+def combination(terms, dim):
+    """sum of c * rows over the (c, rows) pairs of dim x dim sparse rows,
+    as sparse rows; the entries may be of any number type."""
     acc = [{} for _ in range(dim)]
     for c, rows in terms:
         for a, row in zip(acc, rows):
             for col, v in row:
-                a[col] = a.get(col, ZERO) + c * v
-    return tuple(tuple((col, v) for col, v in sorted(a.items()) if v)
-                 for a in acc)
+                a[col] = a.get(col, 0) + c * v
+    return sparse_rows(acc)
 
 
 def _smallest_fundamental_module(datum, comp):
@@ -401,9 +397,9 @@ def chevalley_basis(datum):
                 for w in mod.weights))
             if h == expected:
                 fsign = 1
-            elif h == _combination([(-1, expected)], dim):
+            elif h == combination([(-1, expected)], dim):
                 fsign = -1
-                fgam = _combination([(-1, fgam)], dim)
+                fgam = combination([(-1, fgam)], dim)
             else:
                 raise AssertionError("coroot normalization failed")
             defpair[idx] = (i, bidx, int(div), fsign)
@@ -428,7 +424,7 @@ def chevalley_basis(datum):
                     cor = coroots[idx]
                     coeffs = {('h', j): (cor[j] if la[0] == 'e' else -cor[j])
                               for j in comp if cor[j]}
-                    check = _combination(
+                    check = combination(
                         [(cj, hmats[lab[1]]) for lab, cj in coeffs.items()],
                         dim)
                     if c != check:
@@ -441,7 +437,7 @@ def chevalley_basis(datum):
                     r, (col, v) = next((r, row[0])
                                        for r, row in enumerate(tm) if row)
                     scal = dict(c[r]).get(col, ZERO) / v
-                    if c != _combination([(scal, tm)], dim):
+                    if c != combination([(scal, tm)], dim):
                         raise AssertionError("bracket not a root vector")
                     if scal.denominator != 1:
                         raise AssertionError("non-integral structure constant")
@@ -507,17 +503,15 @@ def adjoint_module(basis):
 
     weights = tuple(label_weight(lab) for lab in labels)
 
-    def action_matrix(gen_label):
-        m = [[ZERO] * dim for _ in range(dim)]
+    def action_rows(gen_label):
+        rows = [{} for _ in range(dim)]
         for col, lab in enumerate(labels):
             for out_lab, c in basis.bracket(gen_label, lab).items():
-                m[slot[out_lab]][col] += c
-        return m
+                rows[slot[out_lab]][col] = c
+        return sparse_rows(rows)
 
-    act_e = tuple(_sparsify(action_matrix(('e', basis.simple_index[i])))
-                  for i in range(n))
-    act_f = tuple(_sparsify(action_matrix(('f', basis.simple_index[i])))
-                  for i in range(n))
+    act_e = tuple(action_rows(('e', basis.simple_index[i])) for i in range(n))
+    act_f = tuple(action_rows(('f', basis.simple_index[i])) for i in range(n))
 
     return WeightModule(
         datum=datum,

@@ -109,18 +109,7 @@ def kernel_basis(a):
 
 def solve(a, b):
     """Solve a x = b exactly; raises ValueError if singular/inconsistent."""
-    n = len(a)
-    cols = len(a[0])
-    aug = [a[i][:] + [Fraction(b[i])] for i in range(n)]
-    m, pivots = _echelon(aug)
-    if cols in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < cols:
-        raise ValueError("singular linear system")
-    x = [ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][cols]
-    return x
+    return [row[0] for row in solve_matrix(a, [[v] for v in b])]
 
 
 def solve_matrix(a, b):

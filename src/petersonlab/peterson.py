@@ -178,7 +178,7 @@ class InversionError(RuntimeError):
     pass
 
 
-def invert_theorem59(ws, target, J=None, seed=0, grid_starts=True):
+def invert_theorem59(ws, target, seed=0, grid_starts=True):
     """Recover nonnegative centralizer coordinates from target minors.
 
     Implemented for J whose Dynkin components are of type A1 or A2, where
@@ -188,7 +188,7 @@ def invert_theorem59(ws, target, J=None, seed=0, grid_starts=True):
     residuals are INVERSION_TOL * 1e-2 and INVERSION_TOL, each times
     max(1, largest target)."""
     datum = ws.datum
-    J = tuple(range(datum.n)) if J is None else tuple(sorted(set(J)))
+    J = tuple(range(datum.n))
     target = [float(t) for t in target]
     if len(target) != len(J):
         raise ValueError("need one target per index in J")

@@ -21,7 +21,7 @@ lists the values of alpha_i^vee on the simple roots.  Internally we keep
 Node ordering for the built-in catalog is Bourbaki.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 import functools
 from math import lcm
@@ -146,7 +146,7 @@ class WeylElement:
     Elements are compared through the action matrix, never by word.
     """
 
-    word: tuple
+    word: tuple = field(compare=False)
     matrix: tuple   # action on simple-root coordinates, columns = images
 
     def act_on_root(self, root):

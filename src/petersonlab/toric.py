@@ -3,8 +3,10 @@ strata by zero pattern, canonical forms under the positive torus,
 equivalence, and the lattice-point moment map onto the weight polytope.
 
 Combinatorics (zero patterns, labels, lattice points, exponents) are
-exact; torus rescalings and the moment map use floating point since the
-log-linear canonicalization has irrational solutions.
+exact.  Torus rescalings and the moment map use floating point, since
+the log-linear canonicalization has irrational solutions: its Cartan
+system is solved exactly by linalg.solve, on the Fraction values of the
+float logarithms, so the module needs no numpy.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ from fractions import Fraction
 import functools
 import math
 
-from . import polytope
+from . import linalg, polytope
 
 EQUIV_RTOL = 1e-10
 
@@ -95,10 +97,9 @@ def canonicalize(datum, p):
         ys[i] *= f
 
     if J:
-        rows = [[float(datum.pairing[j][k]) for k in J] for j in J]
-        rhs = [-math.log(ys[j]) for j in J]
-        import numpy as np
-        u = np.linalg.solve(np.array(rows), np.array(rhs))
+        rows = linalg.frac_matrix([[datum.pairing[j][k] for k in J]
+                                   for j in J])
+        u = linalg.solve(rows, [-math.log(ys[j]) for j in J])
         for pos, j in enumerate(J):
             xs[j] *= math.exp(u[pos])
             ys[j] = 1.0

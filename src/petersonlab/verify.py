@@ -122,7 +122,7 @@ def suite_prop44(type_name, samples, seed):
     for J in rootdata.subsets(range(ws.datum.n)):
         w = ws.longest(J)
         for _ in range(per):
-            s = grouprep.tnn_sample(ws.datum, w, rng=rng)
+            s = grouprep.tnn_sample(w, rng=rng)
             g = s.element * grouprep.wdot(w)
             vals = tuple(grouprep.delta_varpi(i, g, ws)
                          for i in range(ws.datum.n))

@@ -232,3 +232,18 @@ def test_coordinate_count_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "needs 2 coordinates" in err
+
+
+def test_verify_psi_strata_does_not_load_numpy():
+    """psi-strata canonicalizes Cox points with the exact linalg.solve: a
+    fresh interpreter runs it without importing numpy."""
+    script = ("import sys\n"
+              "from petersonlab import cli\n"
+              "code = cli.main(['verify', 'psi-strata', '--type', 'A2'])\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(petersonlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]

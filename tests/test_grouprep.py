@@ -117,7 +117,7 @@ def test_tnn_sample_parabolic_stays_tnn_in_type_a():
     rng = random.Random(11)
     for J in [(0,), (0, 1), (1, 2), (0, 1, 2)]:
         w = rootdata.longest_element(ws.datum, J)
-        s = grouprep.tnn_sample(ws.datum, w, rng=rng)
+        s = grouprep.tnn_sample(w, rng=rng)
         assert grouprep.tnn_membership_typeA(s.element.matrix(rep))
 
 
@@ -125,7 +125,7 @@ def test_tnn_sample_requires_positive_params():
     datum = rootdata.datum_from_name("A2")
     w = rootdata.longest_element(datum, (0, 1))
     with pytest.raises(ValueError):
-        grouprep.tnn_sample(datum, w, params=[F(1)] * 2 + [F(-1)])
+        grouprep.tnn_sample(w, params=[F(1)] * 2 + [F(-1)])
 
 
 def test_centralizer_basis_sizes():
@@ -154,7 +154,7 @@ def test_delta_nonneg_on_tnn_times_w0_in_a2(a, b):
     ws = _ws("A2")
     w0 = ws.w0()
     params = [a + F(1, 7), b + F(1, 7), a + b + F(1, 7)]
-    s = grouprep.tnn_sample(ws.datum, w0, params=params)
+    s = grouprep.tnn_sample(w0, params=params)
     g = s.element * grouprep.wdot(w0)
     for i in range(2):
         assert grouprep.delta_varpi(i, g, ws) >= 0

@@ -172,3 +172,30 @@ def test_adjoint_module_reducible_is_direct_sum():
     cb = liealg.chevalley_basis(datum)
     adj = liealg.adjoint_module(cb)
     assert adj.dimension == 6
+
+
+def _is_sparse_rows(rows, dim):
+    """dim rows, each of (col, value) pairs with ascending columns in range
+    and no zero value."""
+    return len(rows) == dim and all(
+        all(v != 0 for _, v in row)
+        and all(0 <= c < dim for c, _ in row)
+        and all(a < b for (a, _), (b, _) in zip(row, row[1:]))
+        for row in rows)
+
+
+def test_every_module_is_built_as_sparse_rows():
+    """The fundamental, adjoint and power modules of every catalog type
+    carry act_e and act_f as sparse rows: ascending columns, no zeros."""
+    from petersonlab.verify import POWER_MINOR_TYPES
+    for name in sorted(rootdata.CATALOG):
+        ws = grouprep.workspace(_datum(name))
+        n = ws.datum.n
+        reps = [ws.fundamental_rep(i) for i in range(n)] + [ws.adjoint_rep()]
+        if name in POWER_MINOR_TYPES:
+            reps += [ws.power_rep(i) for i in range(n)]
+        for rep in reps:
+            mod = rep.module
+            for i in range(n):
+                assert _is_sparse_rows(mod.act_e[i], mod.dimension), name
+                assert _is_sparse_rows(mod.act_f[i], mod.dimension), name

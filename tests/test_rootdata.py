@@ -184,3 +184,14 @@ def test_simple_reflection_involutive(name, i):
     w = rootdata.weyl_from_word(datum, (i, i))
     ident = rootdata.weyl_from_word(datum, ())
     assert w.matrix == ident.matrix
+
+
+def test_weyl_elements_compare_by_matrix_not_word():
+    """Two reduced words of one element are one element: on A2, s_1 s_2 s_1
+    = s_2 s_1 s_2 (the braid relation), so they are equal and hash alike."""
+    datum = rootdata.datum_from_name("A2")
+    a = rootdata.weyl_from_word(datum, (0, 1, 0))
+    b = rootdata.weyl_from_word(datum, (1, 0, 1))
+    assert a.word != b.word
+    assert a == b and hash(a) == hash(b)
+    assert a != rootdata.weyl_from_word(datum, (0, 1))

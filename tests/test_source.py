@@ -96,3 +96,25 @@ def test_exact_layers_have_no_float_literals():
                   if isinstance(node, ast.Constant)
                   and isinstance(node.value, float)]
     assert not found, "float literals in exact layers: " + ", ".join(found)
+
+
+def test_only_the_hull_proposer_imports_numpy_or_scipy():
+    """numpy and scipy serve qhull in polytope alone: every other layer,
+    toric's canonicalization included, runs on the standard library."""
+    found = []
+    for root, _, files in os.walk(SRC):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    mods = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    mods = [node.module]
+                else:
+                    continue
+                found += ["%s:%d" % (os.path.relpath(path, SRC), node.lineno)
+                          for m in mods
+                          if m.split(".")[0] in ("numpy", "scipy")]
+    assert found and all(f.startswith("polytope.py:") for f in found), found
