@@ -81,29 +81,17 @@ def canonicalize(datum, p):
     rescaling x only inside J.
     """
     K, J = stratum_of(p)
-    n = datum.n
     xs = [float(v) for v in p.x]
-    ys = [float(v) for v in p.y]
-    outside = [i for i in range(n) if i not in J]
-
-    z = [1.0] * n
-    for i in outside:
-        z[i] = 1.0 / xs[i]
-        xs[i] = 1.0
-    for i in J:
-        f = 1.0
-        for k in outside:
-            f *= z[k] ** datum.pairing[i][k]
-        ys[i] *= f
-
-    if J:
-        rows = linalg.frac_matrix([[datum.pairing[j][k] for k in J]
-                                   for j in J])
-        u = linalg.solve(rows, [-math.log(ys[j]) for j in J])
-        for pos, j in enumerate(J):
-            xs[j] *= math.exp(u[pos])
-            ys[j] = 1.0
-    free = tuple((i, xs[i]) for i in J if i not in K)
+    outside = [k for k in range(datum.n) if k not in J]
+    # z_k = 1/x_k for k outside J scales y_j, j in J, by the product of
+    # z_k^<alpha_j, alpha_k^vee>: summed as logarithms, so that no
+    # intermediate overflows
+    rhs = [-math.log(p.y[j]) + sum(datum.pairing[j][k] * math.log(xs[k])
+                                   for k in outside) for j in J]
+    u = linalg.solve(linalg.frac_matrix([[datum.pairing[j][k] for k in J]
+                                         for j in J]), rhs) if J else []
+    free = tuple((j, xs[j] * math.exp(v)) for j, v in zip(J, u)
+                 if j not in K)
     return CanonicalCoxPoint(label=(K, J), free=free)
 
 

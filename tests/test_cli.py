@@ -133,6 +133,18 @@ def test_toric_moment_extreme_coordinate(capsys):
     assert json.loads(out)["moment"] == ["1.500000000000", "0.000000000000"]
 
 
+def test_toric_canon_extreme_coordinates(capsys):
+    """Rescaling y_2 = 1e300 by x_1 = 1e300 passes 1e600: the torus action
+    is taken in logarithms, so x_2 = 1e300 * 1e-300 = 1 comes out exactly
+    where a float product would overflow to inf and give x_2 = 0."""
+    code, out, err = run(capsys, "toric", "canon", "--type", "A2",
+                         "--point", "1e300,1e300;0,1e300", "--json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["K"] == [] and data["J"] == [2]
+    assert data["free"] == {"2": "1.000000000000"}
+
+
 def test_verify_pass_and_report_file(tmp_path, capsys):
     report = tmp_path / "rep.json"
     code, out, _ = run(capsys, "verify", "lemma53", "--type", "A1",
