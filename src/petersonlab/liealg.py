@@ -103,9 +103,9 @@ class WeightModule:
     """Finite-dimensional highest-weight module with exact matrices.
 
     Action matrices are stored sparsely: act_e[i] / act_f[i] are tuples
-    over row index of tuples (col, value).  Weights are in
-    fundamental-weight coordinates; the highest-weight vector is basis
-    index 0.  An irreducible module carries its contravariant form, with
+    over row index of tuples (col, value), as sparse_rows emits them.
+    Weights are in fundamental-weight coordinates; the highest-weight
+    vector is basis index 0.  An irreducible module carries its contravariant form, with
     gram[0][0] = 1; the adjoint module carries none.
     """
 

@@ -4,9 +4,10 @@ equivalence, and the lattice-point moment map onto the weight polytope.
 
 Combinatorics (zero patterns, labels, lattice points, exponents) are
 exact.  Torus rescalings and the moment map use floating point, since
-the log-linear canonicalization has irrational solutions: its Cartan
-system is solved exactly by linalg.solve, on the Fraction values of the
-float logarithms, so the module needs no numpy.
+the log-linear canonicalization has irrational solutions.  Both work in
+logarithms, so that coordinates near the float range do not overflow.
+Canonicalization solves its Cartan system exactly with linalg.solve, on
+the Fraction values of the float logarithms; the module needs no numpy.
 """
 
 from dataclasses import dataclass
