@@ -7,15 +7,16 @@ these bases <w_i, alpha_j^vee> = delta_ij and the polytope inequalities
 become linear forms with exact rational coefficients.
 
 The hull oracle is deliberately independent of the H-representation: it
-computes the Weyl-orbit hull and clips it by the chamber.  Float qhull
-only proposes: it names the points of each facet and the halfspaces of
-each vertex, and every hyperplane and vertex is then derived exactly and
-certified once against every point or inequality.
+computes the Weyl-orbit hull and clips it by the chamber.  One exact
+integer double-description routine enumerates both the hull's facets and
+the clip's vertices, and every hyperplane and vertex is certified once
+against every point or inequality.  No step uses floating point.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import countOf, mul
 
 from . import linalg, rootdata
 
@@ -86,12 +87,15 @@ class HPolytope:
     lam: tuple           # fundamental-weight coordinates, regular dominant
     vertices: dict       # J (sorted tuple) -> point tuple
     cap_values: tuple    # <w_i^vee, lambda> per i
+    vertex_alpha: dict   # vertex point -> its simple-root coordinates
 
     def wall_value(self, i, point):
         return Fraction(point[i])
 
     def cap_value(self, i, point):
-        return self.datum.weight_to_root_coords(point)[i]
+        """<w_i^vee, point> at a vertex, read from the coordinates
+        build_polytope computes once per vertex."""
+        return self.vertex_alpha[point][i]
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,9 @@ def build_polytope(datum, lam):
     lam_alpha = datum.weight_to_root_coords(lam)
     verts = vertices(datum, lam)
     poly = HPolytope(datum=datum, lam=lam, vertices=verts,
-                     cap_values=lam_alpha)
+                     cap_values=lam_alpha,
+                     vertex_alpha={v: datum.weight_to_root_coords(v)
+                                   for v in verts.values()})
     for J, v in verts.items():
         for i in range(n):
             if poly.wall_value(i, v) < 0 or \
@@ -253,82 +259,120 @@ def weyl_orbit(datum, lam):
     return sorted(seen)
 
 
-def _exact_hull_facets(points):
-    """Certified supporting hyperplanes (a, b) with a.x <= b for all points,
-    a a primitive integer vector.
+def _extreme_rays(rows):
+    """Extreme rays of the pointed cone {y : r.y >= 0 for every row r}, for
+    integer rows of full rank, by the double-description method.
 
-    Float qhull only proposes: its triangulation's simplices are grouped
-    by their `equations` row (the simplices of one facet share it), and
-    each group gives its hyperplane exactly as the one-dimensional kernel
-    over all of the group's points, oriented by that row.  Each distinct
-    hyperplane is then certified against the whole set once.
+    Returns (ray, zeros) pairs: ray a primitive integer vector, zeros the
+    bitmask of the rows that vanish on it.  The rays start as those of the
+    simplicial cone of the first independent rows.  Each further row keeps
+    the rays on its nonnegative side and adds, on its hyperplane, the
+    positive combination of each adjacent pair of rays it separates.  Two
+    rays are adjacent when no third ray vanishes on every row both vanish
+    on (the combinatorial test), which reads the zero masks alone.
+    """
+    d = len(rows[0])
+    basis, first = [], []
+    for k, row in enumerate(rows):
+        grown = basis + linalg.frac_matrix([row])
+        if linalg.rank(grown) > len(basis):
+            basis, first = grown, first + [k]
+            if len(first) == d:
+                break
+    else:
+        raise ValueError("the rows span dimension %d of %d: the cone is "
+                         "not pointed" % (len(basis), d))
+    done = sum(1 << k for k in first)
+    rays = [linalg.primitive(col) for col in zip(*linalg.inverse(basis))]
+    zeros = [done & ~(1 << k) for k in first]
+    for k, row in enumerate(rows):
+        if done >> k & 1:
+            continue
+        bit = 1 << k
+        vals = [sum(map(mul, row, ray)) for ray in rays]
+        neg = [(q, vq) for q, vq in enumerate(vals) if vq < 0]
+        cut = []
+        for p, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            for q, vq in neg:
+                common = zeros[p] & zeros[q]
+                if common.bit_count() < d - 2 or countOf(
+                        map(common.__and__, zeros), common) > 2:
+                    continue
+                ray = [vp * b - vq * a for a, b in zip(rays[p], rays[q])]
+                g = gcd(*ray)
+                cut.append((tuple(v // g for v in ray), common | bit))
+        kept = [(ray, z | bit if v == 0 else z)
+                for ray, z, v in zip(rays, zeros, vals) if v >= 0] + cut
+        rays = [ray for ray, _ in kept]
+        zeros = [z for _, z in kept]
+    return list(zip(rays, zeros))
+
+
+def _exact_hull_facets(points):
+    """The facets (a, b) of the hull of a full-dimensional point set:
+    a.x <= b on every point, a a primitive integer vector.
+
+    With the points as numerators p over one denominator den, the valid
+    inequalities (a, t), a.p <= t, form the cone of the rows (-p, den).
+    Its extreme rays are the facets, and a ray's zero mask names the
+    facet's points.  Each facet's hyperplane is the one-dimensional kernel
+    over its points, oriented by the ray, and it is certified in integers
+    against the whole set once.
     """
     n = len(points[0])
     if n == 1:
         lo = min(p[0] for p in points)
         hi = max(p[0] for p in points)
         return [((Fraction(-1),), -lo), ((Fraction(1),), hi)]
-    import numpy as np
-    from scipy.spatial import ConvexHull
-    hull = ConvexHull(np.array([[float(v) for v in p] for p in points]))
-    groups = {}
-    for simplex, outward in zip(hull.simplices, hull.equations):
-        groups.setdefault(tuple(outward), set()).update(simplex)
-    facets = {}
-    for outward, members in groups.items():
-        base, *rest = (points[k] for k in sorted(members))
-        normals = linalg.kernel_basis(
-            [[p[k] - base[k] for k in range(n)] for p in rest])
-        if len(normals) != 1:
-            raise AssertionError("facet group of %d points spans a kernel "
-                                 "of dimension %d" % (len(members),
-                                                      len(normals)))
-        a = linalg.primitive(normals[0])
-        if sum(v * w for v, w in zip(a, outward)) < 0:
-            a = tuple(-v for v in a)
-        facets[(a, sum(a[k] * base[k] for k in range(n)))] = True
     # integer dot products: the points as numerators over one denominator
     den = lcm(*(v.denominator for p in points for v in p))
     nums = [[v.numerator * (den // v.denominator) for v in p] for p in points]
-    for a, b in facets:
-        if any(sum(x * y for x, y in zip(a, p)) > b * den for p in nums):
-            raise AssertionError("proposed hyperplane %s.x <= %s does not "
-                                 "support the hull" % (a, b))
-    return list(facets)
+    facets = []
+    for ray, zeros in _extreme_rays([[-v for v in p] + [den] for p in nums]):
+        base, *rest = (nums[k] for k in range(len(nums)) if zeros >> k & 1)
+        normals = linalg.kernel_basis(linalg.frac_matrix(
+            [x - y for x, y in zip(p, base)] for p in rest))
+        if len(normals) != 1:
+            raise AssertionError("facet of %d points spans a kernel of "
+                                 "dimension %d" % (len(rest) + 1,
+                                                   len(normals)))
+        a = linalg.primitive(normals[0])
+        if sum(map(mul, a, ray[:n])) < 0:
+            a = tuple(-v for v in a)
+        facets.append((a, sum(map(mul, a, base))))
+    for a, top in facets:
+        if any(sum(map(mul, a, p)) > top for p in nums):
+            raise AssertionError("hyperplane %s.x <= %s does not support "
+                                 "the hull" % (a, Fraction(top, den)))
+    return sorted((a, Fraction(top, den)) for a, top in facets)
 
 
 def hull_oracle(datum, lam):
     """Vertices of Conv(W.lambda) intersected with the dominant chamber."""
     n = datum.n
-    lam = tuple(Fraction(v) for v in lam)
-    orbit = weyl_orbit(datum, lam)
-    hull_ineqs = _exact_hull_facets(orbit)
-    walls = [(tuple(-ONE if j == i else ZERO for j in range(n)), ZERO)
-             for i in range(n)]
-    ineqs = hull_ineqs + walls
+    hull_ineqs = _exact_hull_facets(weyl_orbit(datum, lam))
 
     if n == 1:
+        ineqs = hull_ineqs + [((-ONE,), ZERO)]
         cands = [Fraction(b) / a[0] for a, b in ineqs if a[0]]
         verts = {(c,) for c in cands
                  if all(a[0] * c <= b for a, b in ineqs)}
         return sorted(verts)
 
-    import numpy as np
-    from scipy.spatial import HalfspaceIntersection
-    hs = np.array([[float(v) for v in a] + [-float(b)] for a, b in ineqs])
-    interior = np.array([float(v) / 2 for v in lam])
-    inter = HalfspaceIntersection(hs, interior)
-
-    # each vertex solves exactly on the halfspaces qhull lists as its own
-    verts = set()
-    for active in inter.dual_facets:
-        try:
-            v = tuple(linalg.solve(
-                linalg.frac_matrix(ineqs[k][0] for k in active),
-                [ineqs[k][1] for k in active]))
-        except ValueError as exc:
-            raise AssertionError("dual facet %s: %s" % (list(active), exc))
-        if any(sum(a[k] * v[k] for k in range(n)) > b for a, b in ineqs):
+    # the clip homogenized, {(x, t) : a.x <= b t, x >= 0}: each of its rays
+    # (x, t) has t > 0 and is the vertex x / t
+    rows = [[-v * b.denominator for v in a] + [b.numerator]
+            for a, b in hull_ineqs]
+    rows += [[int(j == i) for j in range(n + 1)] for i in range(n)]
+    verts = []
+    for ray, _ in _extreme_rays(rows):
+        if ray[n] <= 0:
+            raise AssertionError("the clipped hull is unbounded along %s"
+                                 % (ray[:n],))
+        v = tuple(Fraction(x, ray[n]) for x in ray[:n])
+        if any(sum(map(mul, row, ray)) < 0 for row in rows):
             raise AssertionError("vertex %s violates an inequality" % (v,))
-        verts.add(v)
+        verts.append(v)
     return sorted(verts)

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 import functools
 import math
+import sys
 
 from . import linalg, polytope
 
 EQUIV_RTOL = 1e-10
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,8 @@ def canonicalize(datum, p):
     First the (I-J)-torus sets x_i = 1 for i outside J (it fixes x_j for
     j in J since <w_j, alpha_k^vee> = 0 there), then the J-torus solves
     the Cartan-submatrix log-linear system to set y_j = 1 for j in J,
-    rescaling x only inside J.
+    rescaling x only inside J.  A canonical coordinate beyond the float
+    range raises ValueError.
     """
     K, J = stratum_of(p)
     xs = [float(v) for v in p.x]
@@ -91,9 +94,19 @@ def canonicalize(datum, p):
                                    for k in outside) for j in J]
     u = linalg.solve(linalg.frac_matrix([[datum.pairing[j][k] for k in J]
                                          for j in J]), rhs) if J else []
-    free = tuple((j, xs[j] * math.exp(v)) for j, v in zip(J, u)
-                 if j not in K)
-    return CanonicalCoxPoint(label=(K, J), free=free)
+    free = []
+    for j, v in zip(J, u):
+        if j in K:
+            continue
+        # x_j e^v can leave the float range, and e^v alone can leave it
+        # while x_j e^v does not: decide on the logarithm
+        log_x = math.log(xs[j]) + v
+        if log_x > LOG_FLOAT_MAX:
+            raise ValueError("canonical coordinate x_%d = e^%.1f is beyond "
+                             "the float range" % (j + 1, log_x))
+        free.append((j, xs[j] * math.exp(v) if v < LOG_FLOAT_MAX
+                     else math.exp(log_x)))
+    return CanonicalCoxPoint(label=(K, J), free=tuple(free))
 
 
 def equivalent(datum, p, q):

@@ -145,6 +145,28 @@ def test_toric_canon_extreme_coordinates(capsys):
     assert data["free"] == {"2": "1.000000000000"}
 
 
+def test_toric_canon_coordinate_beyond_float_range(capsys):
+    """x_1 = e^736.8 has a finite logarithm but no float: exit 2 with one
+    line, not an OverflowError traceback."""
+    code, out, err = run(capsys, "toric", "canon", "--type", "A2",
+                         "--point", "1,1;1e-320,1e-320")
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert "float range" in err
+
+
+def test_toric_canon_rescales_tiny_points_in_logarithms(capsys):
+    """e^744.4 alone overflows, but x_1 = 1e-300 * e^744.4 = 1e-300/5e-324
+    fits: the canonical coordinate is taken in logarithms there."""
+    code, out, err = run(capsys, "toric", "canon", "--type", "A2",
+                         "--point", "1e-300,1e-300;5e-324,5e-324", "--json")
+    assert code == 0, err
+    free = json.loads(out)["free"]
+    assert free.keys() == {"1", "2"}
+    for v in free.values():
+        assert float(v) == pytest.approx(1e-300 / 5e-324, rel=1e-12)
+
+
 def test_verify_pass_and_report_file(tmp_path, capsys):
     report = tmp_path / "rep.json"
     code, out, _ = run(capsys, "verify", "lemma53", "--type", "A1",
@@ -259,3 +281,19 @@ def test_verify_psi_strata_does_not_load_numpy():
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_verify_cube_loads_neither_numpy_nor_scipy():
+    """The hull oracle enumerates facets and vertices exactly in integers:
+    a fresh interpreter certifies the cube claim on the standard library
+    alone."""
+    script = ("import sys\n"
+              "from petersonlab import cli\n"
+              "code = cli.main(['verify', 'cube', '--type', 'A2'])\n"
+              "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(petersonlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-3:] == ["0", "False", "False"]

@@ -163,3 +163,38 @@ def test_vertices_lie_in_polytope():
         for i in range(3):
             assert poly.wall_value(i, v) >= 0
             assert poly.cap_value(i, v) <= poly.cap_values[i]
+
+
+def test_extreme_rays_of_the_homogenised_square_and_its_polar():
+    """{(x, y, t) : 0 <= x, y <= t} has the rays (v, 1) of the unit
+    square's vertices, each zero on the two rows of its edges; its polar,
+    the cone of those rays as rows, has the four rows as its rays.  The
+    redundant row t >= 0 vanishes on no ray."""
+    rows = [(1, 0, 0), (-1, 0, 1), (0, 1, 0), (0, -1, 1), (0, 0, 1)]
+    rays = dict(polytope._extreme_rays(rows))
+    assert rays == {(0, 0, 1): 0b00101, (1, 0, 1): 0b00110,
+                    (0, 1, 1): 0b01001, (1, 1, 1): 0b01010}
+    cone = sorted(rays)
+    polar = dict(polytope._extreme_rays(cone))
+    assert polar == {r: sum(1 << k for k, ray in enumerate(cone)
+                            if sum(a * b for a, b in zip(r, ray)) == 0)
+                     for r in rows[:4]}
+
+
+def test_hull_of_a_lower_dimensional_set_raises():
+    """Points on a line, or a square lying in a plane of 3-space, span no
+    pointed cone of inequalities: no facets come back."""
+    for points in ([(F(0), F(0)), (F(1), F(1)), (F(3), F(3))],
+                   [(F(x), F(y), F(0)) for x in (0, 1) for y in (0, 1)]):
+        with pytest.raises(ValueError):
+            polytope._exact_hull_facets(points)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["C3", "A2xA1"]),
+       st.lists(st.fractions(min_value=F(1, 3), max_value=4,
+                             max_denominator=5), min_size=3, max_size=3))
+def test_hull_oracle_matches_on_random_regular_lambda_rank3(name, lam):
+    datum = _datum(name)
+    poly, _ = polytope.build_polytope(datum, lam)
+    assert sorted(poly.vertices.values()) == polytope.hull_oracle(datum, lam)
