@@ -170,8 +170,7 @@ def _build_irreducible(datum, lam):
         for mu in sorted(by_weight, reverse=True):
             group = by_weight[mu]
             g = [[vm.shap(a, b) for b in group] for a in group]
-            _, pivots = linalg._echelon(g)
-            new_level.extend(group[p] for p in pivots)
+            new_level.extend(group[p] for p in linalg._echelon(g)[1])
         if not new_level:
             break
         levels.append(new_level)

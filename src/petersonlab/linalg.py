@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines on lists of lists of Fraction; everything the
-combinatorial layers need (solve, rank, kernel, inverse, determinant,
-primitive integer vectors) without any floating point.
+Small dense routines on lists of rows whose entries are int, Fraction or
+float: solve, rank, kernel, inverse, determinant and primitive integer
+vectors.  Every routine reads each entry exactly (a float as the rational
+it stores) and answers in Fractions, exact on every input.  They share
+one elimination, `_echelon`: fraction-free Gauss-Jordan on integer rows.
 """
 
 from fractions import Fraction
@@ -10,11 +12,6 @@ from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def frac_matrix(rows):
-    """Copy a nested sequence into a list-of-lists of Fraction."""
-    return [[Fraction(v) for v in row] for row in rows]
 
 
 def identity(n):
@@ -47,46 +44,59 @@ def mat_vec(a, v):
             for row in a]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
+def integer_row(vec):
+    """(numerators, den): the entries of vec as integers over the least
+    common denominator den of its exact values."""
+    ratios = [v.as_integer_ratio() for v in vec]
+    den = lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
 
 
 def _echelon(a):
-    """Row-reduce a copy of a; returns (echelon rows, pivot column list)."""
-    m = [row[:] for row in a]
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) of a copy of a.
+
+    Each row is first scaled to integers by its own denominator.  Each
+    pivot step replaces every other row by (pivot * row - entry * pivot
+    row) / previous pivot, a division that is exact, so entries stay
+    integer minors of the scaled matrix.  Returns (rows, pivots, d,
+    scale): the integer rows, d times the reduced row echelon form of a;
+    the pivot columns; d, the common value of every pivot (1 if there is
+    none); and the product of the row scales, negated once per row swap.
+    A square a of full rank has det(a) = d / scale.
+    """
+    m = []
+    scale = 1
+    for row in a:
+        ints, den = integer_row(row)
+        m.append(ints)
+        scale *= den
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
-    r = 0
+    d = 1
     for c in range(cols):
+        r = len(pivots)
         pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            scale = -scale
+        prow = m[r]
+        pv = prow[c]
         for i in range(rows):
-            if i != r and m[i][c]:
+            if i != r:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [(pv * x - f * y) // d for x, y in zip(m[i], prow)]
+        d = pv
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if r + 1 == rows:
             break
-    return m, pivots
+    return m, pivots, d, scale
 
 
 def rank(a):
-    if not a:
-        return 0
     return len(_echelon(a)[1])
 
 
@@ -95,14 +105,15 @@ def kernel_basis(a):
     if not a:
         return []
     cols = len(a[0])
-    m, pivots = _echelon(a)
-    free = [c for c in range(cols) if c not in pivots]
+    m, pivots, d, _ = _echelon(a)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [ZERO] * cols
         v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+        for row, pc in zip(m, pivots):
+            v[pc] = Fraction(-row[fc], d)
         basis.append(v)
     return basis
 
@@ -114,19 +125,13 @@ def solve(a, b):
 
 def solve_matrix(a, b):
     """Solve a X = b for a matrix right-hand side."""
-    n = len(a)
     cols = len(a[0])
-    m = len(b[0])
-    aug = [a[i][:] + [Fraction(v) for v in b[i]] for i in range(n)]
-    ech, pivots = _echelon(aug)
+    m, pivots, d, _ = _echelon([[*ra, *rb] for ra, rb in zip(a, b)])
     if any(p >= cols for p in pivots):
         raise ValueError("inconsistent linear system")
     if len(pivots) < cols:
         raise ValueError("singular linear system")
-    x = [[ZERO] * m for _ in range(cols)]
-    for r, pc in enumerate(pivots):
-        x[pc] = ech[r][cols:]
-    return x
+    return [[Fraction(v, d) for v in row[cols:]] for row in m[:cols]]
 
 
 def inverse(a):
@@ -134,30 +139,13 @@ def inverse(a):
 
 
 def det(a):
-    n = len(a)
-    m = [row[:] for row in a]
-    d = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = ONE / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return d
+    _, pivots, d, scale = _echelon(a)
+    return Fraction(d, scale) if len(pivots) == len(a) else ZERO
 
 
 def primitive(vec):
     """Scale a nonzero rational vector to coprime integers, keeping its
     direction."""
-    vec = [Fraction(v) for v in vec]
-    den = lcm(*(v.denominator for v in vec))
-    ints = [v.numerator * (den // v.denominator) for v in vec]
+    ints, _ = integer_row(vec)
     g = gcd(*ints)
     return tuple(v // g for v in ints)

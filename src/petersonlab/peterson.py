@@ -178,6 +178,29 @@ class InversionError(RuntimeError):
     pass
 
 
+def _newton_solve(a, b):
+    """Solve the square float system a x = b by Gauss-Jordan, pivoting on
+    the first nonzero entry of each column.  The Newton root is irrational,
+    so this solve stays in floats.  Raises ValueError on a singular a or a
+    right-hand side beyond the float range."""
+    if not all(map(math.isfinite, b)):
+        raise ValueError("residual beyond the float range")
+    n = len(a)
+    m = [[*row, v] for row, v in zip(a, b)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            raise ValueError("singular Jacobian")
+        m[c], m[pivot] = m[pivot], m[c]
+        pv = m[c][c]
+        m[c] = [x / pv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return [row[n] for row in m]
+
+
 def invert_theorem59(ws, target, seed=0, grid_starts=True):
     """Recover nonnegative centralizer coordinates from target minors.
 
@@ -215,10 +238,10 @@ def invert_theorem59(ws, target, seed=0, grid_starts=True):
         try:
             for _ in range(NEWTON_STEPS):
                 r = residual(c)
-                if max(map(abs, r)) < tol * 1e-2:
+                if all(abs(v) < tol * 1e-2 for v in r):  # False on nan
                     return c
                 jac = [[evaluate(d, c) for d in row] for row in grads]
-                step = linalg.solve(jac, r)
+                step = _newton_solve(jac, r)
                 c = [a - b for a, b in zip(c, step)]
         except (ValueError, OverflowError):  # singular Jacobian, divergence
             pass

@@ -57,10 +57,8 @@ def build_fan(datum):
         for J in rootdata.subsets(rest):
             rays = tuple(minus_coroot_ray(datum, i) for i in K) + \
                 tuple(coweight_ray(datum, i) for i in J)
-            if rays:
-                m = [list(map(Fraction, r)) for r in rays]
-                if linalg.rank(m) != len(rays):
-                    raise AssertionError("cone is not simplicial")
+            if linalg.rank(rays) != len(rays):
+                raise AssertionError("cone is not simplicial")
             cones[(tuple(sorted(K)), tuple(sorted(J)))] = Cone(
                 label=(tuple(sorted(K)), tuple(sorted(J))), rays=rays)
     if len(cones) != 3 ** n:
@@ -73,9 +71,9 @@ def cone_contains(cone, vec):
     """Exact membership of a vector in a simplicial cone."""
     if not cone.rays:
         return all(v == 0 for v in vec)
-    a = [[Fraction(r[k]) for r in cone.rays] for k in range(len(vec))]
+    a = [[r[k] for r in cone.rays] for k in range(len(vec))]
     try:
-        coeffs = linalg.solve(a, [Fraction(v) for v in vec])
+        coeffs = linalg.solve(a, vec)
     except ValueError:
         return False
     return all(c >= 0 for c in coeffs)
@@ -222,41 +220,30 @@ def normal_fan(poly, lattice):
     return Fan(datum=datum, cones=cones)
 
 
-def normal_fan_matches_sigma(nfan, fan):
-    """Label-aware comparison tau_{K,J} = sigma_{K, complement of J}."""
-    n = fan.datum.n
-    for (K, J), cone in nfan.cones.items():
-        comp = tuple(i for i in range(n) if i not in J)
-        sigma = fan.cones.get((K, comp))
-        if sigma is None:
-            return False
-        if set(cone.rays) != set(sigma.rays):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Independent oracle: Weyl-orbit hull clipped by the chamber
 
 
 def weyl_orbit(datum, lam):
-    lam = tuple(Fraction(v) for v in lam)
-    seen = {lam}
-    frontier = [lam]
+    """The W-orbit of lam, sorted.  The simple reflections act on the
+    integer numerators of lam over its common denominator; each
+    coordinate becomes a Fraction once, at the end."""
+    nums, den = linalg.integer_row(lam)
+    start = tuple(nums)
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
         for w in frontier:
-            for i in range(datum.n):
-                c = w[i]
+            for c, row in zip(w, datum.pairing):
                 if c == 0:
                     continue
-                row = datum.pairing[i]
-                img = tuple(w[j] - c * row[j] for j in range(datum.n))
+                img = tuple(x - c * r for x, r in zip(w, row))
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
-    return sorted(seen)
+    return [tuple(Fraction(v, den) for v in w) for w in sorted(seen)]
 
 
 def _extreme_rays(rows):
@@ -272,18 +259,14 @@ def _extreme_rays(rows):
     on (the combinatorial test), which reads the zero masks alone.
     """
     d = len(rows[0])
-    basis, first = [], []
-    for k, row in enumerate(rows):
-        grown = basis + linalg.frac_matrix([row])
-        if linalg.rank(grown) > len(basis):
-            basis, first = grown, first + [k]
-            if len(first) == d:
-                break
-    else:
+    # the first independent rows are the pivot columns of the transpose
+    first = linalg._echelon(linalg.transpose(rows))[1]
+    if len(first) < d:
         raise ValueError("the rows span dimension %d of %d: the cone is "
-                         "not pointed" % (len(basis), d))
+                         "not pointed" % (len(first), d))
     done = sum(1 << k for k in first)
-    rays = [linalg.primitive(col) for col in zip(*linalg.inverse(basis))]
+    rays = [linalg.primitive(col) for col in
+            zip(*linalg.inverse([rows[k] for k in first]))]
     zeros = [done & ~(1 << k) for k in first]
     for k, row in enumerate(rows):
         if done >> k & 1:
@@ -316,10 +299,10 @@ def _exact_hull_facets(points):
 
     With the points as numerators p over one denominator den, the valid
     inequalities (a, t), a.p <= t, form the cone of the rows (-p, den).
-    Its extreme rays are the facets, and a ray's zero mask names the
-    facet's points.  Each facet's hyperplane is the one-dimensional kernel
-    over its points, oriented by the ray, and it is certified in integers
-    against the whole set once.
+    Its extreme rays are the facets: a ray's first n coordinates are the
+    outward normal, and its zero mask names the facet's points.  One
+    integer rank certifies that those points span a hyperplane, and each
+    facet is certified in integers against the whole set once.
     """
     n = len(points[0])
     if n == 1:
@@ -332,15 +315,11 @@ def _exact_hull_facets(points):
     facets = []
     for ray, zeros in _extreme_rays([[-v for v in p] + [den] for p in nums]):
         base, *rest = (nums[k] for k in range(len(nums)) if zeros >> k & 1)
-        normals = linalg.kernel_basis(linalg.frac_matrix(
-            [x - y for x, y in zip(p, base)] for p in rest))
-        if len(normals) != 1:
-            raise AssertionError("facet of %d points spans a kernel of "
-                                 "dimension %d" % (len(rest) + 1,
-                                                   len(normals)))
-        a = linalg.primitive(normals[0])
-        if sum(map(mul, a, ray[:n])) < 0:
-            a = tuple(-v for v in a)
+        dim = linalg.rank([[x - y for x, y in zip(p, base)] for p in rest])
+        if dim != n - 1:
+            raise AssertionError("the %d points of a facet span dimension "
+                                 "%d, not %d" % (len(rest) + 1, dim, n - 1))
+        a = linalg.primitive(ray[:n])
         facets.append((a, sum(map(mul, a, base))))
     for a, top in facets:
         if any(sum(map(mul, a, p)) > top for p in nums):

@@ -70,7 +70,7 @@ class CartanMatrix:
                         raise ValueError("off-diagonal entries must be <= 0")
                     if (self.entries[i][j] == 0) != (self.entries[j][i] == 0):
                         raise ValueError("zero pattern must be symmetric")
-        if linalg.det(linalg.frac_matrix(self.entries)) == 0:
+        if linalg.det(self.entries) == 0:
             raise ValueError("Cartan matrix must be nonsingular (semisimple)")
 
 
@@ -105,7 +105,7 @@ class RootDatum:
     @functools.cached_property
     def pairing_inverse(self):
         """Rows give fundamental weights in simple-root coordinates."""
-        inv = linalg.inverse(linalg.frac_matrix(self.pairing))
+        inv = linalg.inverse(self.pairing)
         return tuple(tuple(row) for row in inv)
 
     def weight_to_root_coords(self, weight):

@@ -92,8 +92,8 @@ def canonicalize(datum, p):
     # intermediate overflows
     rhs = [-math.log(p.y[j]) + sum(datum.pairing[j][k] * math.log(xs[k])
                                    for k in outside) for j in J]
-    u = linalg.solve(linalg.frac_matrix([[datum.pairing[j][k] for k in J]
-                                         for j in J]), rhs) if J else []
+    u = linalg.solve([[datum.pairing[j][k] for k in J] for j in J],
+                     rhs) if J else []
     free = []
     for j, v in zip(J, u):
         if j in K:

@@ -168,10 +168,10 @@ def _dense_exp(m, t):
     term = out
     k = 1
     while True:
-        term = linalg.mat_scale(linalg.mat_mul(term, m), t / k)
+        term = [[t / k * v for v in row] for row in linalg.mat_mul(term, m)]
         if not any(any(row) for row in term):
             return out
-        out = linalg.mat_add(out, term)
+        out = [[x + y for x, y in zip(ro, rt)] for ro, rt in zip(out, term)]
         k += 1
 
 
@@ -189,8 +189,8 @@ def _dense_token(rep, token):
         return linalg.mat_mul(linalg.mat_mul(y, x), y)
     m = [[F(0)] * rep.dim for _ in range(rep.dim)]
     for label, c in token[1]:
-        m = linalg.mat_add(m, linalg.mat_scale(
-            mod.sparse_to_dense(rep.label_rows(label)), c))
+        m = [[x + c * y for x, y in zip(rm, rl)] for rm, rl in
+             zip(m, mod.sparse_to_dense(rep.label_rows(label)))]
     return _dense_exp(m, F(1))
 
 

@@ -150,10 +150,10 @@ def test_label_rows_are_commutators_of_their_defining_pairs():
                 for kind in 'ef':
                     a = dense(rep.label_rows((kind, cb.simple_index[j])))
                     b = dense(rep.label_rows((kind, bidx)))
-                    want = linalg.mat_scale(
-                        linalg.mat_sub(linalg.mat_mul(a, b),
-                                       linalg.mat_mul(b, a)),
-                        F(fsign if kind == 'f' else 1, div))
+                    c = F(fsign if kind == 'f' else 1, div)
+                    want = [[c * (x - y) for x, y in zip(rab, rba)]
+                            for rab, rba in zip(linalg.mat_mul(a, b),
+                                                linalg.mat_mul(b, a))]
                     assert dense(rep.label_rows((kind, idx))) == want
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from petersonlab import linalg, polytope, rootdata
+from petersonlab import linalg, polytope, rootdata, verify
 
 F = Fraction
 
@@ -71,13 +71,12 @@ def test_cube_check_detects_broken_lattice():
 
 
 def test_normal_fan_matches_sigma():
+    """The normalfan suite compares tau_{K,J} with sigma_{K, complement of
+    J} once per face: 3^n cases, none failing."""
     for name in ("A1", "A2", "B2", "G2"):
-        datum = _datum(name)
-        poly, lattice = polytope.build_polytope(
-            datum, tuple(F(1) for _ in range(datum.n)))
-        nfan = polytope.normal_fan(poly, lattice)
-        fan = polytope.build_fan(datum)
-        assert polytope.normal_fan_matches_sigma(nfan, fan)
+        rep = verify.suite_normalfan(name, None, 0)
+        assert rep.cases == 3 ** _datum(name).n
+        assert rep.failures == []
 
 
 def test_normal_fan_a1_vertex_cones():
@@ -128,20 +127,18 @@ def test_hull_facets_at_rho():
             assert vals.count(b) >= n
 
 
-def test_hull_takes_one_kernel_per_facet(monkeypatch):
-    """qhull's simplices are grouped by facet before the exact kernel: on
-    D4 at rho, 48 kernels for 48 facets (the triangulation has 1,108
-    simplices)."""
-    calls = []
-    kernel_basis = linalg.kernel_basis
-
-    def counted(a):
-        calls.append(len(a))
-        return kernel_basis(a)
-    monkeypatch.setattr(linalg, "kernel_basis", counted)
+def test_hull_takes_one_rank_per_facet(monkeypatch):
+    """Each facet's normal is read off its double-description ray: on D4 at
+    rho, 48 facets take no kernel and one integer rank each."""
+    calls = {"kernel_basis": 0, "rank": 0}
+    for name in calls:
+        def counted(a, name=name, fn=getattr(linalg, name)):
+            calls[name] += 1
+            return fn(a)
+        monkeypatch.setattr(linalg, name, counted)
     orbit = polytope.weyl_orbit(_datum("D4"), (F(1),) * 4)
     assert len(polytope._exact_hull_facets(orbit)) == 48
-    assert len(calls) == 48
+    assert calls == {"kernel_basis": 0, "rank": 48}
 
 
 @settings(max_examples=10, deadline=None)

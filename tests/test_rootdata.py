@@ -131,7 +131,7 @@ def test_pairing_inverse_computed_once():
         datum = rootdata.datum_from_name(name)
         assert datum.pairing_inverse is datum.pairing_inverse
         assert [list(row) for row in datum.pairing_inverse] == \
-            linalg.inverse(linalg.frac_matrix(datum.pairing))
+            linalg.inverse(datum.pairing)
 
 
 def test_symmetrizer_positive_primitive_symmetrizes():
