@@ -79,12 +79,6 @@ class Rep:
         self.chev = chev
         self.dim = module.dimension
         self._int_cache = {}      # Chevalley label -> integer rows
-        self._gram = None
-
-    def gram(self):
-        if self._gram is None:
-            self._gram = [list(row) for row in self.module.gram]
-        return self._gram
 
     def label_rows(self, label):
         """Sparse rational rows of a Chevalley basis element's action."""
@@ -99,8 +93,7 @@ class Rep:
         denominator, every token is applied in integers, and the result is
         converted back once.
         """
-        den = lcm(*(v.denominator for v in vec))
-        nums = [v.numerator * (den // v.denominator) for v in vec]
+        nums, den = linalg.integer_row(vec)
         for token in reversed(word):
             for rows, den_m, t in self._int_steps(token):
                 nums, den = _int_exp_apply(rows, den_m, t, nums, den)
@@ -300,10 +293,9 @@ def _minor_polynomials(ws, J):
         rep = ws.fundamental_rep(i)
         # b_k acts as rows_k / d_k: expand in the c_k / d_k
         mats = [rep._int_element(tuple(b.items())) for b in basis]
-        u = wdot(ws.longest(J)).apply(rep, rep.unit(0))
-        den = lcm(*(v.denominator for v in u))
-        term = {(0,) * len(basis):
-                [v.numerator * (den // v.denominator) for v in u]}
+        u, den = linalg.integer_row(
+            wdot(ws.longest(J)).apply(rep, rep.unit(0)))
+        term = {(0,) * len(basis): u}
         poly, m = {}, 0
         while term:     # den * X^m u / m!, in the c_k / d_k
             m += 1
@@ -341,7 +333,7 @@ def delta_adjoint_type(i, g, ws):
     rep = ws.power_rep(i)
     v = g.apply(rep, rep.unit(0))
     low = wdot(ws.w0()).apply(rep, rep.unit(0))
-    gram = rep.gram()
+    gram = rep.module.gram
     return sum(v[a] * sum(gram[a][b] * low[b] for b in range(rep.dim)
                           if low[b])
                for a in range(rep.dim) if v[a])

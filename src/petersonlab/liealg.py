@@ -246,7 +246,8 @@ def _build_irreducible(datum, lam):
 
 @dataclass
 class ChevalleyBasis:
-    """Chevalley basis data: labels, defining pairs, full bracket table.
+    """Chevalley basis data: labels, defining pairs and a bracket table
+    that holds the nonzero brackets of root labels only.
 
     Labels are ('e', r), ('f', r) with r an index into
     datum.positive_roots, and ('h', i) with i a node index.
@@ -256,8 +257,7 @@ class ChevalleyBasis:
     root_index: dict          # root tuple -> index
     simple_index: tuple       # node i -> positive-root index of alpha_i
     defpair: dict             # root idx -> (node i, beta idx, divisor, fsign)
-    brackets: dict            # (labelA, labelB) -> {label: Fraction}
-    nconstants: dict          # (idx_a, idx_b) -> N for positive root pairs
+    brackets: dict            # (labelA < labelB) -> {label: Fraction}
     modules: dict             # highest weight -> module built per component
 
     def bracket(self, a, b):
@@ -350,7 +350,6 @@ def chevalley_basis(datum):
     defpair = {}
     coroots = {idx: datum.coroot_of(r) for idx, r in enumerate(roots)}
     brackets = {}
-    nconstants = {}
     modules = {}
 
     for comp in comps:
@@ -363,8 +362,8 @@ def chevalley_basis(datum):
             emat[simple_index[i]] = mod.act_e[i]
             fmat[simple_index[i]] = mod.act_f[i]
 
-        comp_root_idxs = [idx for idx, r in enumerate(roots)
-                          if all(r[j] == 0 for j in range(n) if j not in comp)]
+        comp_root_idxs = [root_index[r] for r in
+                          rootdata.positive_roots_supported_on(datum, comp)]
 
         for idx in comp_root_idxs:
             root = roots[idx]
@@ -405,7 +404,7 @@ def chevalley_basis(datum):
             emat[idx] = egam
             fmat[idx] = fgam
 
-        # read off the full bracket table on this component
+        # read off the nonzero brackets on this component
         labeled = ([(('e', idx), roots[idx], emat[idx]) for idx in comp_root_idxs]
                    + [(('f', idx), tuple(-v for v in roots[idx]), fmat[idx])
                       for idx in comp_root_idxs])
@@ -442,15 +441,8 @@ def chevalley_basis(datum):
                         raise AssertionError("non-integral structure constant")
                     if scal:
                         brackets[(la, lb)] = {tgt: scal}
-                    else:
-                        brackets[(la, lb)] = {}
-                    if la[0] == 'e' and lb[0] == 'e':
-                        nconstants[(la[1], lb[1])] = scal
-                        nconstants[(lb[1], la[1])] = -scal
-                else:
-                    if any(c):
-                        raise AssertionError("non-root bracket must vanish")
-                    brackets[(la, lb)] = {}
+                elif any(c):
+                    raise AssertionError("non-root bracket must vanish")
 
     return ChevalleyBasis(
         datum=datum,
@@ -458,7 +450,6 @@ def chevalley_basis(datum):
         simple_index=simple_index,
         defpair=defpair,
         brackets=brackets,
-        nconstants=nconstants,
         modules=modules,
     )
 

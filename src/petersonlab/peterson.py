@@ -13,7 +13,6 @@ import random
 from . import grouprep, linalg, rootdata, toric
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -202,14 +201,16 @@ def _newton_solve(a, b):
 
 
 def invert_theorem59(ws, target, seed=0, grid_starts=True):
-    """Recover nonnegative centralizer coordinates from target minors.
+    """The certified totally nonnegative preimage of the target minors: a
+    Peterson point whose minors match the targets and whose unipotent part
+    passes the exact type-A minor test.  Its centralizer coordinates may be
+    negative.
 
     Implemented for J whose Dynkin components are of type A1 or A2, where
-    the exact type-A minor test certifies the solution.  Newton's method
-    on the minor polynomials of all of J, from the 8 best points of a
-    nonnegative grid, then from random starts.  The stop and accept
-    residuals are INVERSION_TOL * 1e-2 and INVERSION_TOL, each times
-    max(1, largest target)."""
+    that test applies.  Newton's method on the minor polynomials of all of
+    J, from the 8 best points of a nonnegative grid, then from random
+    starts.  The stop and accept residuals are INVERSION_TOL * 1e-2 and
+    INVERSION_TOL, each times max(1, largest target)."""
     datum = ws.datum
     J = tuple(range(datum.n))
     target = [float(t) for t in target]

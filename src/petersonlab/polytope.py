@@ -67,18 +67,6 @@ def build_fan(datum):
     return Fan(datum=datum, cones=cones)
 
 
-def cone_contains(cone, vec):
-    """Exact membership of a vector in a simplicial cone."""
-    if not cone.rays:
-        return all(v == 0 for v in vec)
-    a = [[r[k] for r in cone.rays] for k in range(len(vec))]
-    try:
-        coeffs = linalg.solve(a, vec)
-    except ValueError:
-        return False
-    return all(c >= 0 for c in coeffs)
-
-
 @dataclass(frozen=True)
 class HPolytope:
     datum: object
@@ -164,7 +152,7 @@ def build_polytope(datum, lam):
             pts = [verts[j2] for j2 in vjs]
             base = pts[0]
             diffs = [[p[k] - base[k] for k in range(n)] for p in pts[1:]]
-            dim = linalg.rank(diffs) if diffs else 0
+            dim = linalg.rank(diffs)
             if dim != len(J) - len(K):
                 raise AssertionError("face (%s, %s) has dimension %d"
                                      % (K, J, dim))
@@ -305,10 +293,6 @@ def _exact_hull_facets(points):
     facet is certified in integers against the whole set once.
     """
     n = len(points[0])
-    if n == 1:
-        lo = min(p[0] for p in points)
-        hi = max(p[0] for p in points)
-        return [((Fraction(-1),), -lo), ((Fraction(1),), hi)]
     # integer dot products: the points as numerators over one denominator
     den = lcm(*(v.denominator for p in points for v in p))
     nums = [[v.numerator * (den // v.denominator) for v in p] for p in points]
@@ -332,14 +316,6 @@ def hull_oracle(datum, lam):
     """Vertices of Conv(W.lambda) intersected with the dominant chamber."""
     n = datum.n
     hull_ineqs = _exact_hull_facets(weyl_orbit(datum, lam))
-
-    if n == 1:
-        ineqs = hull_ineqs + [((-ONE,), ZERO)]
-        cands = [Fraction(b) / a[0] for a, b in ineqs if a[0]]
-        verts = {(c,) for c in cands
-                 if all(a[0] * c <= b for a, b in ineqs)}
-        return sorted(verts)
-
     # the clip homogenized, {(x, t) : a.x <= b t, x >= 0}: each of its rays
     # (x, t) has t > 0 and is the vertex x / t
     rows = [[-v * b.denominator for v in a] + [b.numerator]

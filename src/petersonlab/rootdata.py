@@ -284,6 +284,3 @@ def positive_roots_supported_on(datum, J):
     return [r for r in datum.positive_roots
             if all(r[i] == 0 for i in range(datum.n) if i not in J)]
 
-
-def rho(datum):
-    return tuple(1 for _ in range(datum.n))

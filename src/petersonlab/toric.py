@@ -163,7 +163,7 @@ def moment_data(poly):
 def _moment_data(datum, lam):
     n = datum.n
     denoms = []
-    for v in list(polytope.vertices(datum, lam).values()) + [lam]:
+    for v in polytope.vertices(datum, lam).values():
         alpha = datum.weight_to_root_coords(v)
         denoms.extend(Fraction(a).denominator for a in alpha)
     N = math.lcm(*denoms)

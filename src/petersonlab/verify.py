@@ -288,7 +288,7 @@ def suite_prop76(type_name, samples, seed):
                   "%s V_{%d w_%d} dimension" % (type_name, exps[i], i),
                   want_dim, m.dimension, claim)
         w0mat = grouprep.wdot(ws.w0()).matrix(prep)
-        gram = prep.gram()
+        gram = [list(row) for row in m.gram]
         lhs = linalg.mat_mul(linalg.transpose(w0mat),
                              linalg.mat_mul(gram, w0mat))
         rep.check(lhs == gram,
@@ -442,6 +442,8 @@ def _default_types(suite):
 
 def run_suite(name, type_name=None, seed=0, samples=None):
     """Run one suite (or "all") and return a VerificationReport."""
+    if samples is not None and samples < 0:
+        raise ValueError("sample count %d is negative" % samples)
     if name == "all":
         rep = VerificationReport("all", type_name or "all", seed)
         for sub in SUITE_CLAIMS:

@@ -213,6 +213,20 @@ def test_verify_theorem59_outside_a1_a2_usage_error(capsys):
     assert err.count("\n") == 1 and "A1" in err and "A2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma53", "--type", "A2"],
+    ["verify", "splitting"],
+    ["verify", "prop44", "--type", "A2"],
+    ["export", "report-json", "--suite", "moment-cells", "--type", "A1"],
+])
+def test_negative_samples_usage_error(capsys, argv):
+    """A negative sample count runs no suite: it exits 2 with one line."""
+    code, out, err = run(capsys, *argv, "--samples", "-3")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "negative" in err
+    assert "Traceback" not in err
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nosuchsuite"])

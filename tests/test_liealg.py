@@ -107,7 +107,9 @@ def test_chevalley_defining_relations():
 def test_g2_structure_constants_magnitudes():
     datum = _datum("G2")
     cb = liealg.chevalley_basis(datum)
-    mags = {abs(v) for v in cb.nconstants.values() if v}
+    n = len(datum.positive_roots)
+    mags = {abs(v) for a in range(n) for b in range(n)
+            for v in cb.bracket(('e', a), ('e', b)).values()}
     assert mags == {1, 2, 3}
 
 
@@ -123,11 +125,14 @@ def test_structure_constants_chevalley_theorem():
         for a, alpha in enumerate(roots):
             for b, beta in enumerate(roots):
                 s = tuple(x + y for x, y in zip(alpha, beta))
+                br = cb.bracket(('e', a), ('e', b))
                 if s not in root_set:
-                    assert (a, b) not in cb.nconstants
+                    assert br == {}
                     continue
-                n_ab = cb.nconstants[(a, b)]
-                assert cb.nconstants[(b, a)] == -n_ab
+                label = ('e', cb.root_index[s])
+                assert list(br) == [label]
+                n_ab = br[label]
+                assert cb.bracket(('e', b), ('e', a)) == {label: -n_ab}
                 p = 0
                 while tuple(y - (p + 1) * x
                             for x, y in zip(alpha, beta)) in root_set:

@@ -159,11 +159,6 @@ def test_positive_roots_supported_on():
     assert rootdata.positive_roots_supported_on(datum, []) == []
 
 
-def test_rho_is_all_ones():
-    datum = rootdata.datum_from_name("C3")
-    assert rootdata.rho(datum) == (1, 1, 1)
-
-
 @given(st.sampled_from(sorted(rootdata.CATALOG)),
        st.lists(st.integers(min_value=0, max_value=3), min_size=1,
                 max_size=6))

@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import json
 import os
+import subprocess
+import sys
 
 import petersonlab
 
@@ -118,3 +121,25 @@ def test_no_module_imports_numpy_or_scipy():
                           for m in mods
                           if m.split(".")[0] in ("numpy", "scipy")]
     assert not found, "numpy or scipy imported in src: " + ", ".join(found)
+
+
+def test_benchmark_finds_every_name_it_reads():
+    """The benchmark in perfbench/ wraps package attributes by name and
+    reads the suites' default types: a fresh interpreter installs its
+    tracer and lists a non-empty set of units for every workload, so a
+    renamed or deleted name fails here first.  -B keeps bytecode out of
+    perfbench/."""
+    root = os.path.dirname(os.path.dirname(SRC))
+    script = ("import json, sys\n"
+              "sys.path[:0] = sys.argv[1:]\n"
+              "import tracing, worker, workloads\n"
+              "tracing.Tracer().install()\n"
+              "print(json.dumps({w: len(worker.units(w))\n"
+              "                  for w in workloads.WORKLOADS}))\n")
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", script, os.path.join(root, "perfbench"),
+         os.path.dirname(SRC)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    units = json.loads(proc.stdout.splitlines()[-1])
+    assert units and all(units.values()), units
