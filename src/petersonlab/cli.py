@@ -2,7 +2,8 @@
 evaluation, polytope/fan exports, toric coordinates and verification
 suites with machine-readable reports.
 
-Exit codes: 0 success, 1 verification failures, 2 usage errors.
+Exit codes: 0 success, 1 verification failures, 2 usage errors (among
+them an output path that cannot be written).
 """
 
 import argparse
@@ -477,7 +478,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

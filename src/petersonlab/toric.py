@@ -62,17 +62,18 @@ def stratum_of(p):
     return (K, J)
 
 
-def torus_scale(datum, p, z):
-    """Action of the positive torus element prod alpha_i^vee(z_i)."""
-    n = datum.n
-    x = [float(p.x[i]) * float(z[i]) for i in range(n)]
-    y = []
-    for i in range(n):
-        f = 1.0
-        for k in range(n):
-            f *= float(z[k]) ** datum.pairing[i][k]
-        y.append(float(p.y[i]) * f)
-    return cox_point(x, y)
+def _float_coords(p):
+    """(x, y) of p as lists of floats.  A coordinate beyond the float range
+    raises ValueError naming it."""
+    halves = ([], [])
+    for name, coords, out in zip("xy", (p.x, p.y), halves):
+        for i, v in enumerate(coords):
+            try:
+                out.append(float(v))
+            except OverflowError:
+                raise ValueError("coordinate %s_%d is beyond the float range"
+                                 % (name, i + 1)) from None
+    return halves
 
 
 def canonicalize(datum, p):
@@ -85,12 +86,12 @@ def canonicalize(datum, p):
     range raises ValueError.
     """
     K, J = stratum_of(p)
-    xs = [float(v) for v in p.x]
+    xs, ys = _float_coords(p)
     outside = [k for k in range(datum.n) if k not in J]
     # z_k = 1/x_k for k outside J scales y_j, j in J, by the product of
     # z_k^<alpha_j, alpha_k^vee>: summed as logarithms, so that no
     # intermediate overflows
-    rhs = [-math.log(p.y[j]) + sum(datum.pairing[j][k] * math.log(xs[k])
+    rhs = [-math.log(ys[j]) + sum(datum.pairing[j][k] * math.log(xs[k])
                                    for k in outside) for j in J]
     u = linalg.solve([[datum.pairing[j][k] for k in J] for j in J],
                      rhs) if J else []
@@ -120,24 +121,6 @@ def equivalent(datum, p, q):
         if abs(a - b) > EQUIV_RTOL * max(1.0, abs(a), abs(b)):
             return False
     return True
-
-
-def canonical_to_point(datum, c):
-    """Embed a canonical representative back as a CoxPoint."""
-    n = datum.n
-    K, J = c.label
-    x = [0.0] * n
-    y = [0.0] * n
-    free = dict(c.free)
-    for i in range(n):
-        if i in K:
-            x[i] = 0.0
-        elif i in J:
-            x[i] = free[i]
-        else:
-            x[i] = 1.0
-        y[i] = 1.0 if i in J else 0.0
-    return cox_point(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +179,8 @@ def moment_map(p, poly):
     p.validate()
     data = moment_data(poly)
     n = poly.datum.n
-    logs = [math.log(v) if v else -math.inf for v in map(float, p.x + p.y)]
+    xs, ys = _float_coords(p)
+    logs = [math.log(v) if v else -math.inf for v in xs + ys]
     chars = [(sum([e * l for e, l in zip(xexp + yexp, logs) if e]), wt)
              for _, xexp, yexp, wt in data.points]
     top = max(l for l, _ in chars)

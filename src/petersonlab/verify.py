@@ -1,6 +1,8 @@
 """Verification suites: each suite re-checks one verified claim across
-catalog types with seeded sampling and produces a machine-readable
-report (deterministic for a fixed suite, type and seed).
+catalog types with seeded sampling.  A suite is a generator that yields
+one (ok, input, expected, got) tuple per case; run_suite turns the cases
+into a machine-readable report (deterministic for a fixed suite, type and
+seed) and attaches the suite's claim.
 """
 
 from dataclasses import dataclass, field
@@ -97,9 +99,7 @@ def _random_levi_word(J, rng):
 
 
 def suite_lemma53(type_name, samples, seed):
-    rep = VerificationReport("lemma53", type_name, seed)
     ws = _ws(type_name)
-    claim = SUITE_CLAIMS["lemma53"]
     for J in rootdata.subsets(range(ws.datum.n)):
         pts = peterson.sample_points(ws, J, samples, seed=seed)
         for p in pts:
@@ -107,16 +107,13 @@ def suite_lemma53(type_name, samples, seed):
             got = grouprep.q_vector(g, ws)
             want = tuple(Fraction(1 if i in J else 0)
                          for i in range(ws.datum.n))
-            rep.check(got == want,
-                      "%s J=%s coords=%s" % (type_name, J, p.coords),
-                      want, got, claim)
-    return rep
+            yield (got == want,
+                   "%s J=%s coords=%s" % (type_name, J, p.coords),
+                   want, got)
 
 
 def suite_prop44(type_name, samples, seed):
-    rep = VerificationReport("prop44", type_name, seed)
     ws = _ws(type_name)
-    claim = SUITE_CLAIMS["prop44"]
     rng = random.Random(seed)
     per = _per_subset(samples, ws.datum.n)
     for J in rootdata.subsets(range(ws.datum.n)):
@@ -126,16 +123,13 @@ def suite_prop44(type_name, samples, seed):
             g = s.element * grouprep.wdot(w)
             vals = tuple(grouprep.delta_varpi(i, g, ws)
                          for i in range(ws.datum.n))
-            rep.check(all(v >= 0 for v in vals),
-                      "%s w_J J=%s params=%s" % (type_name, J, s.params),
-                      "all minors >= 0", vals, claim)
-    return rep
+            yield (all(v >= 0 for v in vals),
+                   "%s w_J J=%s params=%s" % (type_name, J, s.params),
+                   "all minors >= 0", vals)
 
 
 def suite_prop35(type_name, samples, seed):
-    rep = VerificationReport("prop35", type_name, seed)
     ws = _ws(type_name)
-    claim = SUITE_CLAIMS["prop35"]
     rng = random.Random(seed)
     n = ws.datum.n
     for J in rootdata.subsets(range(n)):
@@ -153,10 +147,9 @@ def suite_prop35(type_name, samples, seed):
                     want = grouprep.delta_varpi(J.index(i), sub_g, sub_ws)
                 else:
                     want = Fraction(1)
-                rep.check(got == want,
-                          "%s J=%s i=%d word=%s" % (type_name, J, i, g.word),
-                          want, got, claim)
-    return rep
+                yield (got == want,
+                       "%s J=%s i=%d word=%s" % (type_name, J, i, g.word),
+                       want, got)
 
 
 def _random_regular_lambdas(datum, count, seed):
@@ -167,39 +160,31 @@ def _random_regular_lambdas(datum, count, seed):
 
 
 def suite_cube(type_name, samples, seed):
-    rep = VerificationReport("cube", type_name, seed)
     datum = rootdata.datum_from_name(type_name)
-    claim = SUITE_CLAIMS["cube"]
     n = datum.n
     lams = [tuple(Fraction(1) for _ in range(n))]
     lams += _random_regular_lambdas(datum, 5, seed)
     for lam in lams:
         poly, lattice = polytope.build_polytope(datum, lam)
         tag = "%s lambda=%s" % (type_name, lam)
-        rep.check(len(lattice.faces) == 3 ** n, tag + " face count",
-                  3 ** n, len(lattice.faces), claim)
-        rep.check(len(poly.vertices) == 2 ** n, tag + " vertex count",
-                  2 ** n, len(poly.vertices), claim)
+        yield (len(lattice.faces) == 3 ** n, tag + " face count",
+               3 ** n, len(lattice.faces))
+        yield (len(poly.vertices) == 2 ** n, tag + " vertex count",
+               2 ** n, len(poly.vertices))
         facets = [f for f in lattice.faces.values() if f.dim == n - 1]
-        rep.check(len(facets) == 2 * n, tag + " facet count",
-                  2 * n, len(facets), claim)
+        yield (len(facets) == 2 * n, tag + " facet count", 2 * n, len(facets))
         dims_ok = all(f.dim == len(f.J) - len(f.K)
                       for f in lattice.faces.values())
-        rep.check(dims_ok, tag + " face dims", "dim = |J| - |K|", dims_ok,
-                  claim)
+        yield (dims_ok, tag + " face dims", "dim = |J| - |K|", dims_ok)
         ok, _ = polytope.cube_check(lattice)
-        rep.check(ok, tag + " cube isomorphism", True, ok, claim)
+        yield (ok, tag + " cube isomorphism", True, ok)
         oracle = polytope.hull_oracle(datum, lam)
         ours = sorted(poly.vertices.values())
-        rep.check(ours == oracle, tag + " hull oracle",
-                  oracle, ours, claim)
-    return rep
+        yield (ours == oracle, tag + " hull oracle", oracle, ours)
 
 
 def suite_normalfan(type_name, samples, seed):
-    rep = VerificationReport("normalfan", type_name, seed)
     datum = rootdata.datum_from_name(type_name)
-    claim = SUITE_CLAIMS["normalfan"]
     n = datum.n
     poly, lattice = polytope.build_polytope(
         datum, tuple(Fraction(1) for _ in range(n)))
@@ -208,16 +193,13 @@ def suite_normalfan(type_name, samples, seed):
     for (K, J), cone in sorted(nfan.cones.items()):
         comp = tuple(i for i in range(n) if i not in J)
         sigma = fan.cones[(K, comp)]
-        rep.check(set(cone.rays) == set(sigma.rays),
-                  "%s tau_(%s,%s)" % (type_name, K, J),
-                  sorted(sigma.rays), sorted(cone.rays), claim)
-    return rep
+        yield (set(cone.rays) == set(sigma.rays),
+               "%s tau_(%s,%s)" % (type_name, K, J),
+               sorted(sigma.rays), sorted(cone.rays))
 
 
 def suite_psi_strata(type_name, samples, seed):
-    rep = VerificationReport("psi-strata", type_name, seed)
     ws = _ws(type_name)
-    claim = SUITE_CLAIMS["psi-strata"]
     datum = ws.datum
     per = min(_per_subset(samples, datum.n), 12)
     for J in rootdata.subsets(range(datum.n)):
@@ -228,25 +210,22 @@ def suite_psi_strata(type_name, samples, seed):
             c = peterson.psi(ws, p)
             label = peterson.classify_stratum(ws, p, sampled_tnn=True)
             cc = toric.canonicalize(datum, c)
-            rep.check(cc.label == label,
-                      "%s J=%s coords=%s" % (type_name, J, p.coords),
-                      label, cc.label, claim)
+            yield (cc.label == label,
+                   "%s J=%s coords=%s" % (type_name, J, p.coords),
+                   label, cc.label)
             canon.append((p, c))
         for a in range(len(canon)):
             for b in range(a + 1, len(canon)):
                 eq = toric.equivalent(datum, canon[a][1], canon[b][1])
-                rep.check(not eq,
-                          "%s J=%s injectivity %s vs %s"
-                          % (type_name, J, canon[a][0].coords,
-                             canon[b][0].coords),
-                          "inequivalent images", "equivalent", claim)
-    return rep
+                yield (not eq,
+                       "%s J=%s injectivity %s vs %s"
+                       % (type_name, J, canon[a][0].coords,
+                          canon[b][0].coords),
+                       "inequivalent images", "equivalent")
 
 
 def suite_splitting(type_name, samples, seed):
-    rep = VerificationReport("splitting", type_name, seed)
     ws = _ws(type_name)
-    claim = SUITE_CLAIMS["splitting"]
     datum = ws.datum
     comps = [tuple(b) for b in rootdata.dynkin_components(datum)]
     rng = random.Random(seed)
@@ -268,15 +247,12 @@ def suite_splitting(type_name, samples, seed):
                 got_x[i] = cx[k]
                 got_y[i] = cy[k]
         ok = tuple(got_x) == full_x and tuple(got_y) == full_y
-        rep.check(ok, "%s J=%s coords=%s" % (type_name, J, coords),
-                  (full_x, full_y), (tuple(got_x), tuple(got_y)), claim)
-    return rep
+        yield (ok, "%s J=%s coords=%s" % (type_name, J, coords),
+               (full_x, full_y), (tuple(got_x), tuple(got_y)))
 
 
 def suite_prop76(type_name, samples, seed):
-    rep = VerificationReport("prop76", type_name, seed)
     ws = _ws(type_name)
-    claim = SUITE_CLAIMS["prop76"]
     datum = ws.datum
     rng = random.Random(seed)
     exps = ws.exponents
@@ -284,16 +260,16 @@ def suite_prop76(type_name, samples, seed):
         prep = ws.power_rep(i)
         m = prep.module
         want_dim = liealg.weyl_dimension(datum, m.highest_weight)
-        rep.check(m.dimension == want_dim,
-                  "%s V_{%d w_%d} dimension" % (type_name, exps[i], i),
-                  want_dim, m.dimension, claim)
+        yield (m.dimension == want_dim,
+               "%s V_{%d w_%d} dimension" % (type_name, exps[i], i),
+               want_dim, m.dimension)
         w0mat = grouprep.wdot(ws.w0()).matrix(prep)
         gram = [list(row) for row in m.gram]
         lhs = linalg.mat_mul(linalg.transpose(w0mat),
                              linalg.mat_mul(gram, w0mat))
-        rep.check(lhs == gram,
-                  "%s contravariant-form invariance i=%d" % (type_name, i),
-                  "M^T G M = G", lhs == gram, claim)
+        yield (lhs == gram,
+               "%s contravariant-form invariance i=%d" % (type_name, i),
+               "M^T G M = G", lhs == gram)
         full = tuple(range(datum.n))
         w0dot = grouprep.wdot(ws.w0())
         for _ in range(samples):
@@ -304,23 +280,19 @@ def suite_prop76(type_name, samples, seed):
             fund = grouprep.delta_varpi(i, x * w0dot, ws)
             power = grouprep.delta_adjoint_type(
                 i, w0dot.inverse() * x * w0dot, ws)
-            rep.check(power == fund ** exps[i],
-                      "%s i=%d coords=%s" % (type_name, i, coords),
-                      fund ** exps[i], power, claim)
-    return rep
+            yield (power == fund ** exps[i],
+                   "%s i=%d coords=%s" % (type_name, i, coords),
+                   fund ** exps[i], power)
 
 
 def suite_theorem59(type_name, samples, seed):
-    rep = VerificationReport("theorem59", type_name, seed)
     ws = _ws(type_name)
-    claim = SUITE_CLAIMS["theorem59"]
     if type_name == "A1":
         for k in range(11):
             t = Fraction(k)
             p = peterson.invert_theorem59(ws, [t])
-            rep.check(p.coords == (t,), "A1 target %s" % t, (t,), p.coords,
-                      claim)
-        return rep
+            yield (p.coords == (t,), "A1 target %s" % t, (t,), p.coords)
+        return
     vals = [10.0 * k / 9 for k in range(10)]
     for a in vals:
         for b in vals:
@@ -328,16 +300,15 @@ def suite_theorem59(type_name, samples, seed):
             try:
                 p = peterson.invert_theorem59(ws, [a, b], seed=seed)
             except peterson.InversionError as exc:
-                rep.check(False, tag, "convergence", str(exc), claim)
+                yield (False, tag, "convergence", str(exc))
                 continue
             got = [float(v) for v in peterson.deltas(ws, p)]
             resid = max(abs(g - t) for g, t in zip(got, (a, b)))
-            rep.check(resid < 1e-9, tag + " residual", "< 1e-9", resid,
-                      claim)
+            yield (resid < 1e-9, tag + " residual", "< 1e-9", resid)
             x = peterson.unipotent_part(ws, p)
             mat = x.matrix(ws.fundamental_rep(0))
             tnn_ok = grouprep.tnn_membership_typeA(mat, tol=1e-9)
-            rep.check(tnn_ok, tag + " minor test", True, tnn_ok, claim)
+            yield (tnn_ok, tag + " minor test", True, tnn_ok)
             probes = []
             for s in range(1, 11):
                 try:
@@ -351,16 +322,13 @@ def suite_theorem59(type_name, samples, seed):
                          default=0.0)
             # near the boundary the map is quadratic in the coordinates,
             # so residual 1e-9 only pins them to ~sqrt of that
-            rep.check(bool(probes) and spread < 1e-4,
-                      tag + " uniqueness (%d probes)" % len(probes),
-                      "< 1e-4", spread, claim)
-    return rep
+            yield (bool(probes) and spread < 1e-4,
+                   tag + " uniqueness (%d probes)" % len(probes),
+                   "< 1e-4", spread)
 
 
 def suite_moment_cells(type_name, samples, seed):
-    rep = VerificationReport("moment-cells", type_name, seed)
     datum = rootdata.datum_from_name(type_name)
-    claim = SUITE_CLAIMS["moment-cells"]
     n = datum.n
     lam = tuple(Fraction(1) for _ in range(n))
     poly, _ = polytope.build_polytope(datum, lam)
@@ -388,78 +356,65 @@ def suite_moment_cells(type_name, samples, seed):
         p = toric.cox_point(x, y)
         mu = toric.moment_map(p, poly)
         got, strict = face_of(mu)
-        rep.check(got == (K, J) and strict,
-                  "%s stratum (%s,%s) x=%s y=%s" % (type_name, K, J, x, y),
-                  ((K, J), True), (got, strict), claim)
+        yield (got == (K, J) and strict,
+               "%s stratum (%s,%s) x=%s y=%s" % (type_name, K, J, x, y),
+               ((K, J), True), (got, strict))
 
     top = toric.cox_point([1.0] * n, [0.0] * n)
     mu = toric.moment_map(top, poly)
-    rep.check(all(mu[i] == float(lam[i]) for i in range(n)),
-              "%s point [1;0]" % type_name, lam, mu, claim)
+    yield (all(mu[i] == float(lam[i]) for i in range(n)),
+           "%s point [1;0]" % type_name, lam, mu)
     bot = toric.cox_point([0.0] * n, [1.0] * n)
     mu = toric.moment_map(bot, poly)
-    rep.check(all(v == 0.0 for v in mu),
-              "%s point [0;1]" % type_name, (0,) * n, mu, claim)
-    return rep
+    yield (all(v == 0.0 for v in mu),
+           "%s point [0;1]" % type_name, (0,) * n, mu)
 
 
-DEFAULT_SAMPLES = {
-    "lemma53": 50,
-    "prop44": 200,
-    "prop35": 50,
-    "cube": 0,
-    "normalfan": 0,
-    "psi-strata": 50,
-    "splitting": 50,
-    "prop76": 10,
-    "theorem59": 0,
-    "moment-cells": 100,
-}
-
-_SUITE_FUNCS = {
-    "lemma53": suite_lemma53,
-    "prop44": suite_prop44,
-    "prop35": suite_prop35,
-    "cube": suite_cube,
-    "normalfan": suite_normalfan,
-    "psi-strata": suite_psi_strata,
-    "splitting": suite_splitting,
-    "prop76": suite_prop76,
-    "theorem59": suite_theorem59,
-    "moment-cells": suite_moment_cells,
+# name: (runner, default sample count or None where the suite takes
+# none, the types that `verify all` gives it)
+SUITES = {
+    "lemma53": (suite_lemma53, 50, CATALOG_TYPES),
+    "prop44": (suite_prop44, 200, CATALOG_TYPES),
+    "prop35": (suite_prop35, 50, CATALOG_TYPES),
+    "cube": (suite_cube, None, CATALOG_TYPES),
+    "normalfan": (suite_normalfan, None, CATALOG_TYPES),
+    "psi-strata": (suite_psi_strata, 50, CATALOG_TYPES),
+    "splitting": (suite_splitting, 50, REDUCIBLE_TYPES),
+    "prop76": (suite_prop76, 10, POWER_MINOR_TYPES),
+    "theorem59": (suite_theorem59, None, LOW_RANK_TYPES),
+    "moment-cells": (suite_moment_cells, 100, CATALOG_TYPES),
 }
 
 
 def _default_types(suite):
-    if suite == "splitting":
-        return REDUCIBLE_TYPES
-    if suite == "theorem59":
-        return LOW_RANK_TYPES
-    if suite == "prop76":
-        return POWER_MINOR_TYPES
-    return CATALOG_TYPES
+    return SUITES[suite][2]
 
 
 def run_suite(name, type_name=None, seed=0, samples=None):
-    """Run one suite (or "all") and return a VerificationReport."""
+    """Run one suite (or "all") and return a VerificationReport.  This is
+    the one place that counts a suite's cases and attaches its claim."""
     if samples is not None and samples < 0:
         raise ValueError("sample count %d is negative" % samples)
+    if samples == 0:
+        raise ValueError("sample count 0 checks nothing")
     if name == "all":
         rep = VerificationReport("all", type_name or "all", seed)
         for sub in SUITE_CLAIMS:
             if sub != "theorem59" or type_name in (None,) + LOW_RANK_TYPES:
                 rep.merge(run_suite(sub, type_name, seed, samples))
         return rep
-    if name not in _SUITE_FUNCS:
+    if name not in SUITES:
         raise ValueError("unknown suite %r" % name)
-    types = (type_name,) if type_name else _default_types(name)
+    runner, default, all_types = SUITES[name]
+    types = (type_name,) if type_name else all_types
     for t in types:
         if t not in rootdata.CATALOG:
             raise ValueError("unknown type %r" % t)
     if name == "theorem59" and type_name not in (None,) + LOW_RANK_TYPES:
         raise ValueError("theorem59 runs on types A1 and A2 only")
-    count = DEFAULT_SAMPLES[name] if samples is None else samples
+    count = default if samples is None else samples
     rep = VerificationReport(name, type_name or "all", seed)
     for t in types:
-        rep.merge(_SUITE_FUNCS[name](t, count, seed))
+        for case in runner(t, count, seed):
+            rep.check(*case, SUITE_CLAIMS[name])
     return rep

@@ -167,6 +167,22 @@ def test_toric_canon_rescales_tiny_points_in_logarithms(capsys):
         assert float(v) == pytest.approx(1e-300 / 5e-324, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv, coordinate", [
+    (("toric", "moment", "--type", "A1", "--lambda", "1",
+      "--point", "1e400;1"), "x_1"),
+    (("toric", "canon", "--type", "A2", "--point", "1e400,1;1,1"), "x_1"),
+    (("toric", "canon", "--type", "A2", "--point", "1,1;1e400,1"), "y_1"),
+])
+def test_toric_input_beyond_float_range_usage_error(capsys, argv,
+                                                    coordinate):
+    """A Cox coordinate with no float exits 2 with one line naming it,
+    not an OverflowError traceback."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and coordinate in err
+    assert "float range" in err
+
+
 def test_verify_pass_and_report_file(tmp_path, capsys):
     report = tmp_path / "rep.json"
     code, out, _ = run(capsys, "verify", "lemma53", "--type", "A1",
@@ -227,6 +243,19 @@ def test_negative_samples_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma53", "--type", "A2"],
+    ["export", "report-json", "--suite", "splitting"],
+])
+def test_zero_samples_usage_error(capsys, argv):
+    """A zero sample count would check nothing and pass: it runs no suite
+    and exits 2 with one line."""
+    code, out, err = run(capsys, *argv, "--samples", "0")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nosuchsuite"])
@@ -280,6 +309,23 @@ def test_coordinate_count_usage_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "needs 2 coordinates" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("export", "off", "--type", "A2", "--lambda", "1,1", "--out", "F"),
+    ("verify", "lemma53", "--type", "A1", "--samples", "1", "--report", "F"),
+    ("liealg", "dump", "--type", "A1", "--weight", "1", "--out", "F"),
+    ("polytope", "build", "--type", "A1", "--lambda", "1", "--off", "F"),
+])
+def test_unwritable_output_path_usage_error(tmp_path, capsys, argv):
+    """An output path in a missing directory is a usage error (exit 2, one
+    line), not a traceback under the code kept for verification
+    failures."""
+    path = str(tmp_path / "missing" / "x")
+    code, _, err = run(capsys, *[path if a == "F" else a for a in argv])
+    assert code == 2
+    assert err.count("\n") == 1 and "missing" in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_verify_psi_strata_does_not_load_numpy():

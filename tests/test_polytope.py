@@ -63,7 +63,7 @@ def test_normal_fan_matches_sigma():
     """The normalfan suite compares tau_{K,J} with sigma_{K, complement of
     J} once per face: 3^n cases, none failing."""
     for name in ("A1", "A2", "B2", "G2"):
-        rep = verify.suite_normalfan(name, None, 0)
+        rep = verify.run_suite("normalfan", name, seed=0)
         assert rep.cases == 3 ** _datum(name).n
         assert rep.failures == []
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from petersonlab import verify
@@ -52,13 +55,47 @@ def test_all_suite_merges():
 
 def test_all_leaves_theorem59_out_where_it_cannot_certify(monkeypatch):
     ran = []
-    suite = verify._SUITE_FUNCS["theorem59"]
+    suite, count, types = verify.SUITES["theorem59"]
 
     def recorded(type_name, samples, seed):
         ran.append(type_name)
         return suite(type_name, samples, seed)
-    monkeypatch.setitem(verify._SUITE_FUNCS, "theorem59", recorded)
+    monkeypatch.setitem(verify.SUITES, "theorem59", (recorded, count, types))
     rep = verify.run_suite("all", "G2", seed=1, samples=1)
     assert rep.failures == [] and ran == []
     verify.run_suite("all", "A1", seed=1, samples=1)
     assert ran == ["A1"]
+
+
+def test_small_unit_reports_are_pinned():
+    """The report bytes of each suite on its small type, pinned: a change
+    to any report shows here, in tier-1.  A change that alters reports on
+    purpose records the new digests."""
+    pinned = {
+        ("lemma53", "A2"): "92594ceb94633da8f7ff3edf59f04b2d"
+                           "187dd25ea41ecf1827cf50bb012e35b0",
+        ("prop44", "A2"): "758387ada9aecf8d4bbc2bc853d5bd65"
+                          "d49337225d5171a62bf1a898b31eee43",
+        ("prop35", "B2"): "082ebe7c5355aa482a93e2f61b028ca9"
+                          "d9ffa98923da02a33d048565bddde440",
+        ("cube", "A2"): "ba1ae317e89c4bd02f5c34bcb6c55094"
+                        "6188550f3369f8860dc7787f26855014",
+        ("normalfan", "B2"): "646bf5627f1d90e79e39e76f5594c29d"
+                             "c7079438078c72d32e47adca8b168b3e",
+        ("psi-strata", "A2"): "55485d49337e2fa733aa99bc98d96a29"
+                              "9e510bab6a41bfc9aeee834500756375",
+        ("splitting", "A1xA1"): "94d879d9d928e33eaa79674f67d082df"
+                                "a26ec9bcee6f7909572615f945c93e42",
+        ("prop76", "A1"): "21149d50998d0ca3e7c45d496a71f502"
+                          "2bc717d3c357e7c5567325721ac92425",
+        ("theorem59", "A1"): "6f415a1a8bdad4491d1b826312d902cd"
+                             "d4c53395ea26f466b1a580a92c0a2bb6",
+        ("moment-cells", "G2"): "6f97dde227607c38a99cf44405c9155c"
+                                "72d3d57bde50a15589300c3284580aed",
+    }
+    got = {}
+    for suite, typ in pinned:
+        rep = verify.run_suite(suite, typ, seed=3, samples=4)
+        text = json.dumps(rep.to_dict(), sort_keys=True)
+        got[suite, typ] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == pinned
