@@ -7,6 +7,7 @@ them an output path that cannot be written).
 """
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -172,12 +173,14 @@ def _off_text(poly, lattice):
     return "\n".join(lines) + "\n"
 
 
+def _output(path):
+    """The file at path opened for writing, or stdout if there is none."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _write_or_print(text, path):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +333,15 @@ def cmd_toric_moment(args):
 
 
 def cmd_verify(args):
-    report = verify.run_suite(args.suite, args.type,
-                              seed=args.seed, samples=args.samples)
-    text = _dumps(report.to_dict())
+    # the report is opened first: an unwritable path fails before the run
+    with _output(args.report) as fh:
+        report = verify.run_suite(args.suite, args.type,
+                                  seed=args.seed, samples=args.samples)
+        fh.write(_dumps(report.to_dict()))
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text)
         print("suite %s: %d cases, %d failures (seed %d) -> %s"
               % (report.suite, report.cases, len(report.failures),
                  report.seed, args.report))
-    else:
-        sys.stdout.write(text)
     return 0 if not report.failures else 1
 
 
@@ -361,9 +362,10 @@ def cmd_export(args):
     if kind == "report-json":
         if not args.suite:
             raise ValueError("export report-json needs --suite")
-        report = verify.run_suite(args.suite, args.type,
-                                  seed=args.seed, samples=args.samples)
-        _write_or_print(_dumps(report.to_dict()), args.out)
+        with _output(args.out) as fh:
+            report = verify.run_suite(args.suite, args.type,
+                                      seed=args.seed, samples=args.samples)
+            fh.write(_dumps(report.to_dict()))
         return 0 if not report.failures else 1
     if kind == "matrices-json":
         if not (args.type and args.weight):

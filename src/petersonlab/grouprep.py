@@ -32,9 +32,9 @@ ONE = Fraction(1)
 
 def _int_rows(rows):
     """Sparse rational rows as (integer rows, R), rows = integer rows / R."""
-    den = lcm(*(v.denominator for row in rows for _, v in row))
-    return (tuple(tuple((c, v.numerator * (den // v.denominator))
-                        for c, v in row) for row in rows), den)
+    nums, den = linalg.integer_row([v for row in rows for _, v in row])
+    values = iter(nums)
+    return tuple(tuple((c, next(values)) for c, _ in row) for row in rows), den
 
 
 def _int_exp_apply(rows, den_m, t, nums, den):
@@ -352,12 +352,6 @@ def ad_conjugate_e(g, ws):
     """Ad_{g^{-1}}(e) as a vector in the labeled adjoint module."""
     rep = ws.adjoint_rep()
     return g.inverse().apply(rep, regular_nilpotent_vector(ws))
-
-
-def q_coefficient(i, g, ws):
-    """q_i(g) = minus the f_i coefficient of Ad_{g^{-1}}(e)."""
-    labels = ws.adjoint_rep().module.labels
-    return -ad_conjugate_e(g, ws)[labels.index(('f', ws.chev.simple_index[i]))]
 
 
 def q_vector(g, ws):

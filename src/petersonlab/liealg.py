@@ -2,7 +2,10 @@
 
 Modules are built as Verma quotients: f-monomials applied to a formal
 highest vector, quotiented by the radical of the recursively computed
-contravariant (Shapovalov) Gram matrix.  Everything is exact rational.
+contravariant (Shapovalov) Gram matrix.  The form is computed in
+integers, and each weight space takes one linalg.solve_matrix on its
+integer Gram block for every e_i and f_i image that lands in it, so the
+actions are exact rationals.
 
 Structure constants are obtained by realizing root vectors, as sparse
 exact commutators, inside a small faithful fundamental module per Dynkin
@@ -25,19 +28,17 @@ ONE = Fraction(1)
 
 
 def weyl_dimension(datum, lam):
-    """Weyl dimension formula, evaluated exactly."""
+    """Weyl dimension formula, evaluated exactly in integers."""
     n = datum.n
-    num = ONE
-    den = ONE
+    num = den = 1
     d = datum.symmetrizer
     for root in datum.positive_roots:
-        dot = sum(root[j] * d[j] for j in range(n))
         num *= sum((lam[j] + 1) * root[j] * d[j] for j in range(n))
-        den *= dot
-    val = num / den
-    if val.denominator != 1:
-        raise AssertionError("Weyl dimension %s is not an integer" % val)
-    return int(val)
+        den *= sum(root[j] * d[j] for j in range(n))
+    if num % den:
+        raise AssertionError("Weyl dimension %d/%d is not an integer"
+                             % (num, den))
+    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +75,11 @@ class _Verma:
             acc = {}
             for w2, c in self.e_apply(i, rest):
                 k = (j,) + w2
-                acc[k] = acc.get(k, ZERO) + c
+                acc[k] = acc.get(k, 0) + c
             if i == j:
-                c = Fraction(self.word_weight(rest)[i])
+                c = self.word_weight(rest)[i]
                 if c:
-                    acc[rest] = acc.get(rest, ZERO) + c
+                    acc[rest] = acc.get(rest, 0) + c
             out = tuple((w, c) for w, c in acc.items() if c)
         self._e_memo[key] = out
         return out
@@ -86,14 +87,13 @@ class _Verma:
     def shap(self, u, w):
         """Contravariant form <f_u v, f_w v> on the Verma module."""
         if not u:
-            return ONE if not w else ZERO
+            return int(not w)
         key = (u, w) if u <= w else (w, u)
         hit = self._shap_memo.get(key)
         if hit is not None:
             return hit
-        val = ZERO
-        for w2, c in self.e_apply(u[0], w):
-            val += c * self.shap(u[1:], w2)
+        val = sum(c * self.shap(u[1:], w2)
+                  for w2, c in self.e_apply(u[0], w))
         self._shap_memo[key] = val
         return val
 
@@ -105,8 +105,9 @@ class WeightModule:
     Action matrices are stored sparsely: act_e[i] / act_f[i] are tuples
     over row index of tuples (col, value), as sparse_rows emits them.
     Weights are in fundamental-weight coordinates; the highest-weight
-    vector is basis index 0.  An irreducible module carries its contravariant form, with
-    gram[0][0] = 1; the adjoint module carries none.
+    vector is basis index 0.  An irreducible module carries its
+    contravariant form as an integer matrix, with gram[0][0] = 1; the
+    adjoint module carries none.
     """
 
     datum: object
@@ -115,7 +116,7 @@ class WeightModule:
     weights: tuple            # per basis index
     act_e: tuple              # per node: sparse rows
     act_f: tuple
-    gram: tuple = None        # dense rational symmetric matrix, else None
+    gram: tuple = None        # dense integer symmetric matrix, else None
     labels: tuple = None      # adjoint identification, else None
 
     def act_h_diag(self, i):
@@ -157,11 +158,10 @@ def _build_irreducible(datum, lam):
                                 "cap %d" % (dim, DIMENSION_CAP))
     vm = _Verma(datum, lam)
 
-    levels = [[()]]
+    level = [()]
     basis = [()]
     while True:
-        prev = levels[-1]
-        cands = sorted({(i,) + b for b in prev for i in range(datum.n)},
+        cands = sorted({(i,) + b for b in level for i in range(datum.n)},
                        key=lambda w: (vm.word_weight(w), w))
         by_weight = {}
         for w in cands:
@@ -173,8 +173,8 @@ def _build_irreducible(datum, lam):
             new_level.extend(group[p] for p in linalg._echelon(g)[1])
         if not new_level:
             break
-        levels.append(new_level)
-        basis.extend(new_level)
+        level = new_level
+        basis.extend(level)
         if len(basis) > dim:
             raise AssertionError("basis exceeded Weyl dimension")
     if len(basis) != dim:
@@ -186,56 +186,42 @@ def _build_irreducible(datum, lam):
     for idx, mu in enumerate(weights):
         index_by_weight.setdefault(mu, []).append(idx)
 
-    gram_blocks = {}
-    gram_inv = {}
-    for mu, idxs in index_by_weight.items():
-        block = [[vm.shap(basis[a], basis[b]) for b in idxs] for a in idxs]
-        gram_blocks[mu] = block
-        gram_inv[mu] = linalg.inverse(block)
-
-    act_e = []
-    act_f = []
-    for i in range(datum.n):
-        e_rows = [{} for _ in range(dim)]
-        f_rows = [{} for _ in range(dim)]
-        for col, b in enumerate(basis):
-            mu = weights[col]
-            # f_i . b
-            nu = tuple(mu[j] - datum.pairing[i][j] for j in range(datum.n))
-            if nu in index_by_weight:
-                idxs = index_by_weight[nu]
-                word = (i,) + b
-                vals = [vm.shap(basis[a], word) for a in idxs]
-                for a, c in zip(idxs, linalg.mat_vec(gram_inv[nu], vals)):
-                    f_rows[a][col] = c
-            # e_i . b
-            nu = tuple(mu[j] + datum.pairing[i][j] for j in range(datum.n))
-            if nu in index_by_weight:
-                idxs = index_by_weight[nu]
-                expansion = vm.e_apply(i, b)
-                vals = []
-                for a in idxs:
-                    vals.append(sum((c * vm.shap(basis[a], w)
-                                     for w, c in expansion), ZERO))
-                for a, c in zip(idxs, linalg.mat_vec(gram_inv[nu], vals)):
-                    e_rows[a][col] = c
-        act_e.append(sparse_rows(e_rows))
-        act_f.append(sparse_rows(f_rows))
-
-    gram = [[ZERO] * dim for _ in range(dim)]
-    for mu, idxs in index_by_weight.items():
-        block = gram_blocks[mu]
-        for a, ia in enumerate(idxs):
-            for b, ib in enumerate(idxs):
-                gram[ia][ib] = block[a][b]
+    # per weight space nu: the Gram block, read once, and one solve for
+    # every e_i and f_i image landing in nu, each as its column (<b_a, x>)_a
+    gram = [[0] * dim for _ in range(dim)]
+    act_e = [[{} for _ in range(dim)] for _ in range(datum.n)]
+    act_f = [[{} for _ in range(dim)] for _ in range(datum.n)]
+    for nu, idxs in index_by_weight.items():
+        rows = [basis[a] for a in idxs]
+        block = [[vm.shap(u, w) for w in rows] for u in rows]
+        for a, row in zip(idxs, block):
+            for b, v in zip(idxs, row):
+                gram[a][b] = v
+        targets, columns = [], []
+        for i, alpha in enumerate(datum.pairing):
+            for col in index_by_weight.get(
+                    tuple(v + x for v, x in zip(nu, alpha)), ()):
+                targets.append((act_f[i], col))
+                columns.append([vm.shap(u, (i,) + basis[col]) for u in rows])
+            for col in index_by_weight.get(
+                    tuple(v - x for v, x in zip(nu, alpha)), ()):
+                expansion = vm.e_apply(i, basis[col])
+                targets.append((act_e[i], col))
+                columns.append([sum(c * vm.shap(u, w) for w, c in expansion)
+                                for u in rows])
+        rhs = [[column[k] for column in columns] for k in range(len(idxs))]
+        solved = linalg.solve_matrix(block, rhs)
+        for (act, col), coeffs in zip(targets, zip(*solved)):
+            for a, c in zip(idxs, coeffs):
+                act[a][col] = c
 
     return WeightModule(
         datum=datum,
         highest_weight=lam,
         dimension=dim,
         weights=tuple(weights),
-        act_e=tuple(act_e),
-        act_f=tuple(act_f),
+        act_e=tuple(sparse_rows(rows) for rows in act_e),
+        act_f=tuple(sparse_rows(rows) for rows in act_f),
         gram=tuple(tuple(row) for row in gram),
     )
 
@@ -375,14 +361,10 @@ def chevalley_basis(datum):
                      in root_set)
             beta = tuple(root[j] - (1 if j == i else 0) for j in range(n))
             bidx = root_index[beta]
-            p = 0
-            while True:
-                down = tuple(beta[j] - (p + 1) * (1 if j == i else 0)
-                             for j in range(n))
-                if is_root(down):
-                    p += 1
-                else:
-                    break
+            p = 0   # the alpha_i-string through beta reaches beta - p alpha_i
+            while is_root(tuple(beta[j] - (p + 1) * (j == i)
+                                for j in range(n))):
+                p += 1
             div = Fraction(p + 1)
             egam = commutator(emat[simple_index[i]], emat[bidx], ONE / div)
             if not any(egam):

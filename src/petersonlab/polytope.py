@@ -15,7 +15,7 @@ against every point or inequality.  No step uses floating point.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import countOf, mul
 
 from . import linalg, rootdata
@@ -294,8 +294,8 @@ def _exact_hull_facets(points):
     """
     n = len(points[0])
     # integer dot products: the points as numerators over one denominator
-    den = lcm(*(v.denominator for p in points for v in p))
-    nums = [[v.numerator * (den // v.denominator) for v in p] for p in points]
+    flat, den = linalg.integer_row([v for p in points for v in p])
+    nums = [flat[k:k + n] for k in range(0, len(flat), n)]
     facets = []
     for ray, zeros in _extreme_rays([[-v for v in p] + [den] for p in nums]):
         base, *rest = (nums[k] for k in range(len(nums)) if zeros >> k & 1)

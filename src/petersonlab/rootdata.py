@@ -24,7 +24,6 @@ Node ordering for the built-in catalog is Bourbaki.
 from dataclasses import dataclass, field
 from fractions import Fraction
 import functools
-from math import lcm
 
 from . import linalg
 
@@ -266,8 +265,7 @@ def dynkin_components(datum, nodes=None):
 
 def fundamental_exponents(datum):
     """m_i = least positive integer with m_i * w_i in the root lattice."""
-    return tuple(lcm(*(v.denominator for v in row))
-                 for row in datum.pairing_inverse)
+    return tuple(linalg.integer_row(row)[1] for row in datum.pairing_inverse)
 
 
 def subsets(items):

@@ -63,17 +63,28 @@ def stratum_of(p):
 
 
 def _float_coords(p):
-    """(x, y) of p as lists of floats.  A coordinate beyond the float range
+    """(floats, logs) of the coordinates of p, x then y: each as a float,
+    and its logarithm, -inf at a zero.  The logarithm is taken from the
+    exact value, so a positive coordinate below the float range, whose
+    float is 0.0, has a finite one.  A coordinate beyond the float range
     raises ValueError naming it."""
-    halves = ([], [])
-    for name, coords, out in zip("xy", (p.x, p.y), halves):
+    floats, logs = [], []
+    for name, coords in zip("xy", (p.x, p.y)):
         for i, v in enumerate(coords):
             try:
-                out.append(float(v))
+                f = float(v)
             except OverflowError:
                 raise ValueError("coordinate %s_%d is beyond the float range"
                                  % (name, i + 1)) from None
-    return halves
+            floats.append(f)
+            if f:
+                logs.append(math.log(f))
+            elif v:     # below the float range
+                num, den = v.as_integer_ratio()
+                logs.append(math.log(num) - math.log(den))
+            else:
+                logs.append(-math.inf)
+    return floats, logs
 
 
 def canonicalize(datum, p):
@@ -86,13 +97,13 @@ def canonicalize(datum, p):
     range raises ValueError.
     """
     K, J = stratum_of(p)
-    xs, ys = _float_coords(p)
+    xs, logs = _float_coords(p)
     outside = [k for k in range(datum.n) if k not in J]
     # z_k = 1/x_k for k outside J scales y_j, j in J, by the product of
     # z_k^<alpha_j, alpha_k^vee>: summed as logarithms, so that no
     # intermediate overflows
-    rhs = [-math.log(ys[j]) + sum(datum.pairing[j][k] * math.log(xs[k])
-                                   for k in outside) for j in J]
+    rhs = [-logs[datum.n + j] + sum(datum.pairing[j][k] * logs[k]
+                                    for k in outside) for j in J]
     u = linalg.solve([[datum.pairing[j][k] for k in J] for j in J],
                      rhs) if J else []
     free = []
@@ -100,12 +111,13 @@ def canonicalize(datum, p):
         if j in K:
             continue
         # x_j e^v can leave the float range, and e^v alone can leave it
-        # while x_j e^v does not: decide on the logarithm
-        log_x = math.log(xs[j]) + v
+        # while x_j e^v does not, or x_j can be below it: decide on the
+        # logarithm
+        log_x = logs[j] + v
         if log_x > LOG_FLOAT_MAX:
             raise ValueError("canonical coordinate x_%d = e^%.1f is beyond "
                              "the float range" % (j + 1, log_x))
-        free.append((j, xs[j] * math.exp(v) if v < LOG_FLOAT_MAX
+        free.append((j, xs[j] * math.exp(v) if xs[j] and v < LOG_FLOAT_MAX
                      else math.exp(log_x)))
     return CanonicalCoxPoint(label=(K, J), free=tuple(free))
 
@@ -145,11 +157,9 @@ def moment_data(poly):
 @functools.lru_cache(maxsize=32)
 def _moment_data(datum, lam):
     n = datum.n
-    denoms = []
-    for v in polytope.vertices(datum, lam).values():
-        alpha = datum.weight_to_root_coords(v)
-        denoms.extend(Fraction(a).denominator for a in alpha)
-    N = math.lcm(*denoms)
+    verts = polytope.vertices(datum, lam).values()
+    _, N = linalg.integer_row([a for v in verts
+                               for a in datum.weight_to_root_coords(v)])
     lam_alpha = datum.weight_to_root_coords(lam)
     c = [int(N * a) for a in lam_alpha]
 
@@ -179,8 +189,7 @@ def moment_map(p, poly):
     p.validate()
     data = moment_data(poly)
     n = poly.datum.n
-    xs, ys = _float_coords(p)
-    logs = [math.log(v) if v else -math.inf for v in xs + ys]
+    _, logs = _float_coords(p)
     chars = [(sum([e * l for e, l in zip(xexp + yexp, logs) if e]), wt)
              for _, xexp, yexp, wt in data.points]
     top = max(l for l, _ in chars)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -292,6 +293,33 @@ def test_export_facelattice_and_matrices(tmp_path, capsys):
     assert json.loads(mj.read_text())["dimension"] == 3
 
 
+def test_module_exports_are_pinned(capsys):
+    """The `export matrices-json` bytes of six modules, pinned: a change to
+    a module's basis, actions or contravariant form shows here, in
+    tier-1."""
+    pinned = {
+        ("A1", "2"): "33d3c0742d70add5af75102581813805"
+                     "79035877a477cc3f58e2dd250a633f81",
+        ("B2", "1,1"): "30254365bdc692431b91af40f39fa437"
+                       "dbd9ce1348d150ac52e2b01e942e138c",
+        ("G2", "1,0"): "7b08970bbcd87c4c348e934468f32de6"
+                       "f6280782b6c644c7163d47c2877531d8",
+        ("C3", "0,0,1"): "04cced1b6d84b620a9762c93e88cca21"
+                         "6c966d98bccfa984dbd2b86cd4af96dd",
+        ("D4", "0,1,0,0"): "fc8469adcc506d4f2bd4af972c4be853"
+                           "b8b5fba6f9e21ce1f2c2573282098c2c",
+        ("A2", "2,1"): "3c94ed97852898d735572cf58af7b651"
+                       "440a58be41c5867e9acdd1a49414c0c4",
+    }
+    got = {}
+    for typ, weight in pinned:
+        code, out, _ = run(capsys, "export", "matrices-json", "--type", typ,
+                           "--weight", weight)
+        assert code == 0
+        got[typ, weight] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == pinned
+
+
 def test_export_missing_args_usage_error(capsys):
     code, _, err = run(capsys, "export", "off", "--type", "B2")
     assert code == 2
@@ -326,6 +354,24 @@ def test_unwritable_output_path_usage_error(tmp_path, capsys, argv):
     assert code == 2
     assert err.count("\n") == 1 and "missing" in err
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "prop35", "--report", "F"),
+    ("export", "report-json", "--suite", "prop35", "--out", "F"),
+])
+def test_unwritable_report_path_fails_before_the_suite_runs(
+        tmp_path, capsys, monkeypatch, argv):
+    """The report path is opened first: an unwritable one exits 2 with one
+    line and runs no suite."""
+    calls = []
+    monkeypatch.setattr(cli.verify, "run_suite",
+                        lambda *a, **k: calls.append(a))
+    path = str(tmp_path / "missing" / "x")
+    code, out, err = run(capsys, *[path if a == "F" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "missing" in err
+    assert calls == []
 
 
 def test_verify_psi_strata_does_not_load_numpy():

@@ -204,3 +204,20 @@ def test_every_module_is_built_as_sparse_rows():
             for i in range(n):
                 assert _is_sparse_rows(mod.act_e[i], mod.dimension), name
                 assert _is_sparse_rows(mod.act_f[i], mod.dimension), name
+
+
+def test_builder_solves_once_per_weight_space(monkeypatch):
+    """The Shapovalov form is computed in integers, and each weight space
+    takes one linalg.solve_matrix for every action image landing in it:
+    building G2 (1, 1) calls neither linalg.inverse nor linalg.mat_vec."""
+    calls = {"inverse": 0, "mat_vec": 0, "solve_matrix": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(linalg, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    mod = liealg._build_irreducible(_datum("G2"), (1, 1))
+    assert mod.dimension == 64
+    assert calls == {"inverse": 0, "mat_vec": 0,
+                     "solve_matrix": len(set(mod.weights))}
+    assert all(type(v) is int for row in mod.gram for v in row)

@@ -150,3 +150,31 @@ def test_moment_map_respects_torus_action():
     mp = toric.moment_map(p, poly)
     mq = toric.moment_map(q, poly)
     assert max(abs(a - b) for a, b in zip(mp, mq)) < 1e-10
+
+
+@pytest.mark.parametrize("e", [40, 400])
+def test_canonicalize_coordinates_below_the_float_range(e):
+    """On A2, x = y = (10^-e, 1) gives u = (2, 1) e log(10) / 3, so the free
+    coordinates are (10^(-e/3), 10^(e/3)).  10^-400 has no float (it reads
+    0.0): its logarithm is taken from the exact value."""
+    datum = _datum("A2")
+    t = F(1, 10 ** e)
+    c = toric.canonicalize(datum, toric.cox_point((t, 1), (t, 1)))
+    assert c.label == ((), (0, 1))
+    want = (10.0 ** (-e / 3), 10.0 ** (e / 3))
+    assert [i for i, _ in c.free] == [0, 1]
+    for (_, got), v in zip(c.free, want):
+        assert abs(got - v) <= toric.EQUIV_RTOL * v
+
+
+def test_moment_map_coordinates_below_the_float_range():
+    """On A1 at lambda = 1 the characters are y and x^2: at [10^-400;
+    10^-800] both are 10^-800, as at [1; 1] both are 1, so the images agree.
+    Neither coordinate has a float; the characters are weighed by exact
+    logarithms, not by float zeros that would leave none."""
+    datum = _datum("A1")
+    poly, _ = polytope.build_polytope(datum, (F(1),))
+    tiny = toric.cox_point((F(1, 10 ** 400),), (F(1, 10 ** 800),))
+    one = toric.cox_point((1,), (1,))
+    assert toric.moment_map(tiny, poly) == pytest.approx(
+        toric.moment_map(one, poly), rel=1e-12)
