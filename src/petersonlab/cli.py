@@ -9,6 +9,7 @@ them an output path that cannot be written).
 import argparse
 import contextlib
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -100,13 +101,6 @@ def _parse_cox_point(text, n):
     return toric.cox_point(x, y)
 
 
-def _datum(type_name):
-    if type_name not in rootdata.CATALOG:
-        raise ValueError("unknown type %r (catalog: %s)"
-                         % (type_name, ", ".join(rootdata.CATALOG)))
-    return rootdata.datum_from_name(type_name)
-
-
 # ---------------------------------------------------------------------------
 # serializers
 
@@ -116,7 +110,7 @@ def _matrix_json(mat):
 
 
 def _module_matrices(type_name, weight_text):
-    ws = grouprep.Workspace(_datum(type_name))
+    ws = grouprep.Workspace(rootdata.datum_from_name(type_name))
     weight = _parse_int_weight(ws.datum, weight_text, "--weight")
     rep = ws.rep(weight)
     mod = rep.module
@@ -188,7 +182,7 @@ def _write_or_print(text, path):
 
 
 def cmd_rootdata_show(args):
-    datum = _datum(args.type)
+    datum = rootdata.datum_from_name(args.type)
     entry = rootdata.CATALOG[args.type]
     if args.json:
         sys.stdout.write(_dumps({"name": args.type,
@@ -215,7 +209,7 @@ def cmd_liealg_dump(args):
 
 
 def cmd_group_eval(args):
-    datum = _datum(args.type)
+    datum = rootdata.datum_from_name(args.type)
     ws = grouprep.Workspace(datum)
     g = _parse_word(args.word, datum.n)
     if args.module == "adjoint":
@@ -243,13 +237,13 @@ def cmd_group_eval(args):
 
 
 def cmd_psi_map(args):
-    datum = _datum(args.type)
+    datum = rootdata.datum_from_name(args.type)
     ws = grouprep.Workspace(datum)
     J = _parse_indices(args.J, datum.n)
     coords = _parse_fractions(args.coords)
     p = peterson.make_point(ws, J, coords)
     xs, ys = peterson.minor_vector(ws, p)
-    K = tuple(i for i in range(datum.n) if xs[i] == 0)
+    K, _ = peterson.classify_stratum(J, xs)
     out = {
         "type": args.type,
         "J": [i + 1 for i in J],
@@ -271,7 +265,7 @@ def cmd_psi_map(args):
 
 def _built_polytope(args):
     """(poly, lattice) of P^lambda for --type and --lambda."""
-    datum = _datum(args.type)
+    datum = rootdata.datum_from_name(args.type)
     return polytope.build_polytope(datum, _parse_lambda(datum, args.lam))
 
 
@@ -295,15 +289,22 @@ def cmd_polytope_build(args):
 
 
 def cmd_toric_canon(args):
-    datum = _datum(args.type)
+    datum = rootdata.datum_from_name(args.type)
     p = _parse_cox_point(args.point, datum.n)
     c = toric.canonicalize(datum, p)
     K, J = c.label
+    free = {}
+    for i, log_x in c.free:
+        try:
+            free[str(i + 1)] = "%.12f" % math.exp(log_x)
+        except OverflowError:
+            raise ValueError("canonical coordinate x_%d = e^%.1f is beyond "
+                             "the float range" % (i + 1, log_x)) from None
     out = {
         "type": args.type,
         "K": [i + 1 for i in K],
         "J": [i + 1 for i in J],
-        "free": {str(i + 1): "%.12f" % v for i, v in c.free},
+        "free": free,
     }
     if args.json:
         sys.stdout.write(_dumps(out))
@@ -316,8 +317,8 @@ def cmd_toric_canon(args):
 def cmd_toric_moment(args):
     poly, _ = _built_polytope(args)
     p = _parse_cox_point(args.point, poly.datum.n)
-    mu = toric.moment_map(p, poly)
     data = toric.moment_data(poly)
+    mu = toric.moment_map(p, data)
     out = {
         "type": args.type,
         "lambda": [_render(v) for v in poly.lam],

@@ -68,21 +68,15 @@ def deltas(ws, p):
     return tuple(evaluate(f, p.coords) for f in ws.minor_polynomials(p.J))
 
 
-def classify_stratum(ws, p, sampled_tnn=False):
-    """K from vanishing minors; minors outside J must be exactly 1."""
-    vals = deltas(ws, p)
-    n = ws.datum.n
-    for i in range(n):
-        if i not in p.J:
-            if vals[i] != 1:
-                raise AssertionError("minor outside J must equal 1, got %s "
-                                     "at node %d" % (vals[i], i))
-    if sampled_tnn and any(v < 0 for v in vals):
-        raise AssertionError(
-            "negative minor on a TNN-sampled point contradicts minor "
-            "nonnegativity")
-    K = tuple(i for i in range(n) if vals[i] == 0)
-    return (K, p.J)
+def classify_stratum(J, minors):
+    """(K, J) with K the nodes whose minor vanishes, from the fundamental
+    minors of a normal-form point of J; minors outside J must be exactly
+    1."""
+    for i, v in enumerate(minors):
+        if i not in J and v != 1:
+            raise AssertionError("minor outside J must equal 1, got %s "
+                                 "at node %d" % (v, i))
+    return (tuple(i for i, v in enumerate(minors) if v == 0), J)
 
 
 def minor_vector(ws, p):

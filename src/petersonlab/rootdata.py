@@ -205,8 +205,8 @@ def build_root_datum(cartan):
 
 def datum_from_name(name):
     if name not in CATALOG:
-        raise KeyError("unknown catalog type %r (known: %s)"
-                       % (name, ", ".join(sorted(CATALOG))))
+        raise ValueError("unknown type %r (catalog: %s)"
+                         % (name, ", ".join(CATALOG)))
     return build_root_datum(cartan_from_entries(CATALOG[name]))
 
 

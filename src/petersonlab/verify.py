@@ -208,15 +208,15 @@ def suite_psi_strata(type_name, samples, seed):
         canon = []
         for p in pts:
             c = peterson.psi(ws, p)
-            label = peterson.classify_stratum(ws, p, sampled_tnn=True)
+            label = peterson.classify_stratum(p.J, c.x)
             cc = toric.canonicalize(datum, c)
             yield (cc.label == label,
                    "%s J=%s coords=%s" % (type_name, J, p.coords),
                    label, cc.label)
-            canon.append((p, c))
+            canon.append((p, cc))
         for a in range(len(canon)):
             for b in range(a + 1, len(canon)):
-                eq = toric.equivalent(datum, canon[a][1], canon[b][1])
+                eq = toric.equivalent(canon[a][1], canon[b][1])
                 yield (not eq,
                        "%s J=%s injectivity %s vs %s"
                        % (type_name, J, canon[a][0].coords,
@@ -332,6 +332,7 @@ def suite_moment_cells(type_name, samples, seed):
     n = datum.n
     lam = tuple(Fraction(1) for _ in range(n))
     poly, _ = polytope.build_polytope(datum, lam)
+    data = toric.moment_data(poly)
     pinv = [[float(v) for v in row] for row in datum.pairing_inverse]
     caps = [float(v) for v in poly.cap_values]
     rng = random.Random(seed)
@@ -354,18 +355,18 @@ def suite_moment_cells(type_name, samples, seed):
         x = [0.0 if i in K else rng.uniform(0.3, 3.0) for i in range(n)]
         y = [rng.uniform(0.3, 3.0) if i in J else 0.0 for i in range(n)]
         p = toric.cox_point(x, y)
-        mu = toric.moment_map(p, poly)
+        mu = toric.moment_map(p, data)
         got, strict = face_of(mu)
         yield (got == (K, J) and strict,
                "%s stratum (%s,%s) x=%s y=%s" % (type_name, K, J, x, y),
                ((K, J), True), (got, strict))
 
     top = toric.cox_point([1.0] * n, [0.0] * n)
-    mu = toric.moment_map(top, poly)
+    mu = toric.moment_map(top, data)
     yield (all(mu[i] == float(lam[i]) for i in range(n)),
            "%s point [1;0]" % type_name, lam, mu)
     bot = toric.cox_point([0.0] * n, [1.0] * n)
-    mu = toric.moment_map(bot, poly)
+    mu = toric.moment_map(bot, data)
     yield (all(v == 0.0 for v in mu),
            "%s point [0;1]" % type_name, (0,) * n, mu)
 
@@ -390,9 +391,30 @@ def _default_types(suite):
     return SUITES[suite][2]
 
 
+def _cannot_run(name, type_name):
+    """Why suite `name` certifies nothing on `type_name`, or None where it
+    can run: theorem59 inverts on LOW_RANK_TYPES only, and prop76 builds
+    every power module V(m_i w_i), each within the dimension cap.  It
+    builds no module."""
+    if name == "theorem59" and type_name not in LOW_RANK_TYPES:
+        return "theorem59 runs on types A1 and A2 only"
+    if name == "prop76":
+        datum = rootdata.datum_from_name(type_name)
+        for i, m in enumerate(rootdata.fundamental_exponents(datum)):
+            dim = liealg.weyl_dimension(
+                datum, [m if j == i else 0 for j in range(datum.n)])
+            if dim > liealg.DIMENSION_CAP:
+                return ("prop76 on %s needs V(%d w_%d) of dimension %d, "
+                        "over the cap %d" % (type_name, m, i + 1, dim,
+                                             liealg.DIMENSION_CAP))
+    return None
+
+
 def run_suite(name, type_name=None, seed=0, samples=None):
     """Run one suite (or "all") and return a VerificationReport.  This is
-    the one place that counts a suite's cases and attaches its claim."""
+    the one place that counts a suite's cases and attaches its claim.
+    Given a type, "all" leaves out each suite that cannot run on it, and
+    a single suite that cannot raises ValueError before it runs."""
     if samples is not None and samples < 0:
         raise ValueError("sample count %d is negative" % samples)
     if samples == 0:
@@ -400,21 +422,18 @@ def run_suite(name, type_name=None, seed=0, samples=None):
     if name == "all":
         rep = VerificationReport("all", type_name or "all", seed)
         for sub in SUITE_CLAIMS:
-            if sub != "theorem59" or type_name in (None,) + LOW_RANK_TYPES:
+            if not type_name or not _cannot_run(sub, type_name):
                 rep.merge(run_suite(sub, type_name, seed, samples))
         return rep
     if name not in SUITES:
         raise ValueError("unknown suite %r" % name)
     runner, default, all_types = SUITES[name]
-    types = (type_name,) if type_name else all_types
-    for t in types:
-        if t not in rootdata.CATALOG:
-            raise ValueError("unknown type %r" % t)
-    if name == "theorem59" and type_name not in (None,) + LOW_RANK_TYPES:
-        raise ValueError("theorem59 runs on types A1 and A2 only")
+    reason = type_name and _cannot_run(name, type_name)
+    if reason:
+        raise ValueError(reason)
     count = default if samples is None else samples
     rep = VerificationReport(name, type_name or "all", seed)
-    for t in types:
+    for t in (type_name,) if type_name else all_types:
         for case in runner(t, count, seed):
             rep.check(*case, SUITE_CLAIMS[name])
     return rep

@@ -230,6 +230,19 @@ def test_verify_theorem59_outside_a1_a2_usage_error(capsys):
     assert err.count("\n") == 1 and "A1" in err and "A2" in err
 
 
+def test_verify_prop76_over_the_dimension_cap_usage_error(capsys,
+                                                         monkeypatch):
+    """prop76 on A4 needs V(5 w_2), of dimension 1176: it exits 2 with one
+    line before it builds any module."""
+    calls = []
+    monkeypatch.setattr(cli.verify.liealg, "_build_irreducible",
+                        lambda *a: calls.append(a))
+    code, out, err = run(capsys, "verify", "prop76", "--type", "A4")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "A4" in err and "1176" in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "lemma53", "--type", "A2"],
     ["verify", "splitting"],

@@ -143,3 +143,27 @@ def test_benchmark_finds_every_name_it_reads():
     assert proc.returncode == 0, proc.stderr
     units = json.loads(proc.stdout.splitlines()[-1])
     assert units and all(units.values()), units
+
+
+def test_workspace_is_the_one_module_level_cache():
+    """No module-level function in src is memoized with functools except
+    `grouprep.workspace`: the Workspace registry is the one process-wide
+    cache, and the values a reader needs are passed to it."""
+    found = []
+    for root, _, files in os.walk(SRC):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for func in tree.body:
+                if not isinstance(func, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                for deco in func.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    attr = getattr(target, "attr", getattr(target, "id", ""))
+                    where = "%s.%s" % (name[:-3], func.name)
+                    if (attr in ("lru_cache", "cache")
+                            and where != "grouprep.workspace"):
+                        found.append(where)
+    assert not found, "module-level caches in src: " + ", ".join(found)

@@ -54,17 +54,45 @@ def test_all_suite_merges():
 
 
 def test_all_leaves_theorem59_out_where_it_cannot_certify(monkeypatch):
-    ran = []
-    suite, count, types = verify.SUITES["theorem59"]
+    """`all` on a type leaves out each suite that cannot run there, and
+    the suite alone refuses that type before it runs."""
+    cases = [("theorem59", "G2", "A1"),
+             ("prop76", "A4", "A1")]    # V(5 w_2) exceeds DIMENSION_CAP
+    for suite, left_out, kept in cases:
+        ran = []
+        runner, count, types = verify.SUITES[suite]
 
-    def recorded(type_name, samples, seed):
-        ran.append(type_name)
-        return suite(type_name, samples, seed)
-    monkeypatch.setitem(verify.SUITES, "theorem59", (recorded, count, types))
-    rep = verify.run_suite("all", "G2", seed=1, samples=1)
-    assert rep.failures == [] and ran == []
-    verify.run_suite("all", "A1", seed=1, samples=1)
-    assert ran == ["A1"]
+        def recorded(type_name, samples, seed):
+            ran.append(type_name)
+            return runner(type_name, samples, seed)
+        with monkeypatch.context() as m:
+            m.setitem(verify.SUITES, suite, (recorded, count, types))
+            rep = verify.run_suite("all", left_out, seed=1, samples=1)
+            assert rep.failures == [] and ran == []
+            with pytest.raises(ValueError):
+                verify.run_suite(suite, left_out, seed=1, samples=1)
+            assert ran == []
+            verify.run_suite("all", kept, seed=1, samples=1)
+            assert ran == [kept]
+
+
+def test_psi_strata_canonicalizes_each_point_once(monkeypatch):
+    """Each sampled point is canonicalized once, and the injectivity
+    check compares the canonical forms already at hand."""
+    calls = {"psi": 0, "canonicalize": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+    counted(verify.peterson, "psi")
+    counted(verify.toric, "canonicalize")
+    rep = verify.run_suite("psi-strata", "A2", seed=0)
+    assert rep.failures == [] and rep.cases > calls["psi"] > 0
+    assert calls["canonicalize"] == calls["psi"]
 
 
 def test_small_unit_reports_are_pinned():
