@@ -294,7 +294,9 @@ def cmd_toric_canon(args):
     c = toric.canonicalize(datum, p)
     K, J = c.label
     free = {}
-    for i, log_x in c.free:
+    for i, v in c.free:
+        num, den = v.as_integer_ratio()
+        log_x = (math.log(num) - math.log(den)) / c.power
         try:
             free[str(i + 1)] = "%.12f" % math.exp(log_x)
         except OverflowError:

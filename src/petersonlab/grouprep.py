@@ -80,12 +80,6 @@ class Rep:
         self.dim = module.dimension
         self._int_cache = {}      # Chevalley label -> integer rows
 
-    def label_rows(self, label):
-        """Sparse rational rows of a Chevalley basis element's action."""
-        rows, den = self._int_label(label)
-        return tuple(tuple((c, Fraction(v, den)) for c, v in row)
-                     for row in rows)
-
     def apply_word(self, word, vec):
         """The word's matrix applied to a column vector.
 

@@ -436,12 +436,6 @@ def chevalley_basis(datum):
     )
 
 
-def build_irreducible(basis, lam):
-    """Irreducible module V_lam as a Verma quotient (exact)."""
-    datum = basis.datum if isinstance(basis, ChevalleyBasis) else basis
-    return _build_irreducible(datum, lam)
-
-
 def adjoint_module(basis):
     """The adjoint module realized by the bracket action.
 

@@ -227,19 +227,6 @@ def longest_element(datum, J):
     return weyl_from_word(datum, word)
 
 
-def involution_star(datum):
-    """Permutation i -> i* with w_0(alpha_i) = -alpha_{i*}."""
-    w0 = longest_element(datum, range(datum.n))
-    star = []
-    for i in range(datum.n):
-        img = w0.act_on_root(tuple(1 if j == i else 0 for j in range(datum.n)))
-        neg = tuple(-v for v in img)
-        target = next(k for k in range(datum.n)
-                      if neg == tuple(1 if j == k else 0 for j in range(datum.n)))
-        star.append(target)
-    return tuple(star)
-
-
 def dynkin_components(datum, nodes=None):
     """Connected components of the Dynkin graph, or of its subgraph on
     nodes, as sorted index lists in order of their least node."""

@@ -2,31 +2,34 @@
 strata by zero pattern, canonical forms under the positive torus,
 equivalence, and the lattice-point moment map onto the weight polytope.
 
-Combinatorics (zero patterns, labels, lattice points, exponents) are
-exact.  Torus rescalings and the moment map use floating point, since
-the log-linear canonicalization has irrational solutions.  Both work in
-logarithms, so that coordinates near the float range do not overflow.
-Canonicalization solves its Cartan system exactly with linalg.solve, on
-the Fraction values of the float logarithms; the module needs no numpy.
+Everything is exact.  A Cox coordinate is a rational (an int, a Fraction
+or a float, each read exactly).  The torus rescaling that canonicalizes a
+point gives the irrational free coordinates x_j e^{u_j}, but their D-th
+powers are rational, D the lcm of the denominators of the inverse Cartan
+submatrix C_J^{-1} (Cox, J. Algebraic Geom. 4, 1995): a canonical form
+holds those powers, so equal orbits have equal forms.  The moment map is
+a ratio of integer character sums, so its image is a tuple of Fractions
+(Fulton, Introduction to Toric Varieties, 1993, sec. 4.2).
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 import itertools
 import math
+from operator import getitem, mul
 
 from . import linalg
-
-EQUIV_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class CoxPoint:
-    """Homogeneous coordinates [x; y], all entries nonnegative reals."""
+    """Homogeneous coordinates [x; y], all entries nonnegative reals,
+    checked once, when the point is made."""
 
     x: tuple
     y: tuple
 
-    def validate(self):
+    def __post_init__(self):
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have equal length")
         for xi, yi in zip(self.x, self.y):
@@ -39,79 +42,53 @@ class CoxPoint:
 @dataclass(frozen=True)
 class CanonicalCoxPoint:
     """Unique orbit representative: x_i = 0 (K), free > 0 (J-K), 1 (I-J);
-    y_i = 1 (J), 0 (I-J)."""
+    y_i = 1 (J), 0 (I-J).  A free coordinate is held as its rational
+    power-th power."""
 
     label: tuple          # (K, J) sorted tuples
-    free: tuple           # (i, log x_i) pairs for i in J-K
+    power: int            # D, the lcm of the denominators of C_J^{-1}
+    free: tuple           # (j, x_j^D) pairs for j in J-K
 
 
 def cox_point(x, y):
-    p = CoxPoint(x=tuple(x), y=tuple(y))
-    p.validate()
-    return p
+    return CoxPoint(x=tuple(x), y=tuple(y))
 
 
 def stratum_of(p):
     """K = zero set of x, J = support of y; K <= J by validity."""
-    p.validate()
     K = tuple(i for i, v in enumerate(p.x) if v == 0)
     J = tuple(i for i, v in enumerate(p.y) if v != 0)
     return (K, J)
 
 
-def _log_coords(p):
-    """The natural logarithm of each coordinate of p, x then y, -inf at a
-    zero.  It is taken from the exact value, so a positive coordinate
-    below the float range, whose float is 0.0, has a finite one.  A
-    coordinate beyond the float range raises ValueError naming it."""
-    logs = []
-    for name, coords in zip("xy", (p.x, p.y)):
-        for i, v in enumerate(coords):
-            try:
-                f = float(v)
-            except OverflowError:
-                raise ValueError("coordinate %s_%d is beyond the float range"
-                                 % (name, i + 1)) from None
-            if f:
-                logs.append(math.log(f))
-            elif v:     # below the float range
-                num, den = v.as_integer_ratio()
-                logs.append(math.log(num) - math.log(den))
-            else:
-                logs.append(-math.inf)
-    return logs
-
-
 def canonicalize(datum, p):
-    """Solve the torus rescaling in logarithmic coordinates.
+    """Solve the torus rescaling exactly, in D-th powers.
 
-    First the (I-J)-torus sets x_i = 1 for i outside J (it fixes x_j for
-    j in J since <w_j, alpha_k^vee> = 0 there), then the J-torus solves
-    the Cartan-submatrix log-linear system to set y_j = 1 for j in J,
-    rescaling x only inside J.  Each free coordinate is kept as its
-    natural logarithm, so one beyond or below the float range is held
-    exactly as well as one inside it.
+    First the (I-J)-torus sets x_k = 1 for k outside J (it fixes x_j for
+    j in J since <w_j, alpha_k^vee> = 0 there), which leaves y_c, c in J,
+    equal to 1 / base_c, base_c = prod_k x_k^<alpha_c, alpha_k^vee> / y_c.
+    Then the J-torus sets each y_c = 1 with u = C_J^{-1} log(base), so the
+    free coordinate x_j e^{u_j} has the D-th power
+    x_j^D prod_c base_c^{(D C_J^{-1})_{jc}}, a positive rational.
     """
     K, J = stratum_of(p)
-    logs = _log_coords(p)
+    x = [Fraction(v) for v in p.x]
     outside = [k for k in range(datum.n) if k not in J]
-    # z_k = 1/x_k for k outside J scales y_j, j in J, by the product of
-    # z_k^<alpha_j, alpha_k^vee>: summed as logarithms, so that no
-    # intermediate overflows
-    rhs = [-logs[datum.n + j] + sum(datum.pairing[j][k] * logs[k]
-                                    for k in outside) for j in J]
-    u = linalg.solve([[datum.pairing[j][k] for k in J] for j in J],
-                     rhs) if J else []
-    return CanonicalCoxPoint(label=(K, J), free=tuple(
-        (j, logs[j] + v) for j, v in zip(J, u) if j not in K))
+    base = [math.prod(x[k] ** datum.pairing[c][k] for k in outside)
+            / Fraction(p.y[c]) for c in J]
+    inv = linalg.inverse([[datum.pairing[j][k] for k in J] for j in J]) \
+        if J else []
+    D = math.lcm(*(e.denominator for row in inv for e in row))
+    free = tuple((j, x[j] ** D * math.prod(b ** int(D * e)
+                                            for b, e in zip(base, row)))
+                 for j, row in zip(J, inv) if j not in K)
+    return CanonicalCoxPoint(label=(K, J), power=D, free=free)
 
 
 def equivalent(cp, cq):
-    """Whether two canonical forms name one torus orbit: equal labels and
-    free logarithms within EQUIV_RTOL, a relative bound on the
-    coordinates themselves."""
-    return cp.label == cq.label and all(
-        abs(a - b) <= EQUIV_RTOL for (_, a), (_, b) in zip(cp.free, cq.free))
+    """Whether two canonical forms name one torus orbit: two positive
+    reals with equal D-th powers are equal, so the forms are equal."""
+    return cp == cq
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +98,8 @@ def equivalent(cp, cq):
 @dataclass(frozen=True)
 class MomentData:
     dilate: int            # N with N * P^lambda a lattice polytope
-    points: tuple          # per lattice point: (x exponents, y exponents)
+    points: tuple          # per lattice point: x exponents, then y exponents
+    top: tuple             # per Cox coordinate: its largest exponent
 
 
 def moment_data(poly):
@@ -129,39 +107,39 @@ def moment_data(poly):
     coordinates that build_polytope solved for each vertex.  The point
     sum_i k_i alpha_i has x exponents its fundamental-weight coordinates,
     which are also the weight the moment map averages, and y exponents
-    N lambda - k in simple-root coordinates."""
-    datum = poly.datum
-    n = datum.n
+    N lambda - k in simple-root coordinates: one tuple of 2n exponents."""
+    pairing = poly.datum.pairing
     _, N = linalg.integer_row([a for v in poly.vertex_alpha.values()
                                for a in v])
     c = [int(N * a) for a in poly.cap_values]
+    # k_i times row i of the pairing, for each k_i in range
+    rows = [[tuple(k * a for a in pairing[i]) for k in range(m + 1)]
+            for i, m in enumerate(c)]
     pts = []
     for k in itertools.product(*(range(m + 1) for m in c)):
-        xexp = tuple(sum(k[i] * datum.pairing[i][j] for i in range(n))
-                     for j in range(n))
-        if all(v >= 0 for v in xexp):
-            pts.append((xexp, tuple(m - ki for m, ki in zip(c, k))))
-    return MomentData(dilate=N, points=tuple(pts))
+        xexp = tuple(map(sum, zip(*map(getitem, rows, k))))
+        if min(xexp) >= 0:
+            pts.append(xexp + tuple(m - ki for m, ki in zip(c, k)))
+    return MomentData(dilate=N, points=tuple(pts),
+                      top=tuple(map(max, zip(*pts))))
 
 
 def moment_map(p, data):
-    """Lattice-point weighted average of `data = moment_data(poly)`,
-    rescaled to P^lambda (floats), taken in the log domain (log-sum-exp)
-    so that huge coordinates fit."""
-    p.validate()
-    n = len(p.x)
-    logs = _log_coords(p)
-    chars = [(sum([e * l for e, l in zip(xexp + yexp, logs) if e]), xexp)
-             for xexp, yexp in data.points]
-    top = max(l for l, _ in chars)
-    if top == -math.inf:
+    """The lattice-point average sum_m chi_m(p) m / (N sum_m chi_m(p)) of
+    `data = moment_data(poly)`, exactly, as Fractions on P^lambda.
+
+    A coordinate num/den with largest exponent t enters a character with
+    exponent e as the integer num^e den^(t-e), read from a table of
+    powers: every character is then an integer over the one denominator
+    prod den^t, which cancels in the average."""
+    tables = []
+    for v, t in zip(p.x + p.y, data.top):
+        num, den = v.as_integer_ratio()
+        tables.append([num ** e * den ** (t - e) for e in range(t + 1)])
+    chis = [math.prod(map(getitem, tables, e)) for e in data.points]
+    total = sum(chis)
+    if not total:
         raise AssertionError("character sum vanished")
-    total = 0.0
-    acc = [0.0] * n
-    for l, xexp in chars:
-        chi = math.exp(l - top)
-        if chi:
-            total += chi
-            for j in range(n):
-                acc[j] += chi * xexp[j]
-    return tuple(v / (total * data.dilate) for v in acc)
+    weights = list(zip(*data.points))[:len(p.x)]
+    return tuple(Fraction(sum(map(mul, chis, w)), total * data.dilate)
+                 for w in weights)

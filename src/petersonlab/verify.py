@@ -333,19 +333,22 @@ def suite_moment_cells(type_name, samples, seed):
     lam = tuple(Fraction(1) for _ in range(n))
     poly, _ = polytope.build_polytope(datum, lam)
     data = toric.moment_data(poly)
-    pinv = [[float(v) for v in row] for row in datum.pairing_inverse]
-    caps = [float(v) for v in poly.cap_values]
+    # alpha = mu C^{-1} is compared with the caps in integers: C^{-1} and
+    # the caps over one common denominator L, each mu over its own
+    flat, _ = linalg.integer_row([v for row in datum.pairing_inverse
+                                  for v in row] + list(poly.cap_values))
+    pinv = [flat[j * n:(j + 1) * n] for j in range(n)]
+    caps = flat[n * n:]
     rng = random.Random(seed)
-    tol = 1e-9
 
     def face_of(mu):
-        alpha = [sum(mu[j] * pinv[j][i] for j in range(n)) for i in range(n)]
-        K = tuple(i for i in range(n) if abs(mu[i]) <= tol)
-        capped = tuple(i for i in range(n)
-                       if abs(alpha[i] - caps[i]) <= tol)
-        J = tuple(i for i in range(n) if i not in capped)
-        strict = all(mu[i] > tol for i in range(n) if i not in K) and \
-            all(alpha[i] < caps[i] - tol for i in range(n) if i in J)
+        num, d = linalg.integer_row(mu)
+        alpha = [sum(num[j] * pinv[j][i] for j in range(n))
+                 for i in range(n)]
+        K = tuple(i for i in range(n) if num[i] == 0)
+        J = tuple(i for i in range(n) if alpha[i] != caps[i] * d)
+        strict = all(num[i] > 0 for i in range(n) if i not in K) and \
+            all(alpha[i] < caps[i] * d for i in J)
         return (K, J), strict
 
     for _ in range(samples):
@@ -361,14 +364,12 @@ def suite_moment_cells(type_name, samples, seed):
                "%s stratum (%s,%s) x=%s y=%s" % (type_name, K, J, x, y),
                ((K, J), True), (got, strict))
 
-    top = toric.cox_point([1.0] * n, [0.0] * n)
+    top = toric.cox_point([1] * n, [0] * n)
     mu = toric.moment_map(top, data)
-    yield (all(mu[i] == float(lam[i]) for i in range(n)),
-           "%s point [1;0]" % type_name, lam, mu)
-    bot = toric.cox_point([0.0] * n, [1.0] * n)
+    yield (mu == lam, "%s point [1;0]" % type_name, lam, mu)
+    bot = toric.cox_point([0] * n, [1] * n)
     mu = toric.moment_map(bot, data)
-    yield (all(v == 0.0 for v in mu),
-           "%s point [0;1]" % type_name, (0,) * n, mu)
+    yield (not any(mu), "%s point [0;1]" % type_name, (0,) * n, mu)
 
 
 # name: (runner, default sample count or None where the suite takes

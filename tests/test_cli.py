@@ -136,8 +136,8 @@ def test_toric_moment_extreme_coordinate(capsys):
 
 def test_toric_canon_extreme_coordinates(capsys):
     """Rescaling y_2 = 1e300 by x_1 = 1e300 passes 1e600: the torus action
-    is taken in logarithms, so x_2 = 1e300 * 1e-300 = 1 comes out exactly
-    where a float product would overflow to inf and give x_2 = 0."""
+    is exact, so x_2 = 1e300 * 1e-300 = 1 comes out exactly where a float
+    product would overflow to inf and give x_2 = 0."""
     code, out, err = run(capsys, "toric", "canon", "--type", "A2",
                          "--point", "1e300,1e300;0,1e300", "--json")
     assert code == 0, err
@@ -157,31 +157,45 @@ def test_toric_canon_coordinate_beyond_float_range(capsys):
 
 
 def test_toric_canon_rescales_tiny_points_in_logarithms(capsys):
-    """e^744.4 alone overflows, but x_1 = 1e-300 * e^744.4 = 1e-300/5e-324
-    fits: the canonical coordinate is taken in logarithms there."""
+    """e^744.4 alone overflows, but x_1 = 1e-300 * e^744.4 = 2e23 fits:
+    the canonical coordinate is printed from the logarithms of its exact
+    cube 8e69, not from the float 5e-324, which is 4.94e-324."""
     code, out, err = run(capsys, "toric", "canon", "--type", "A2",
                          "--point", "1e-300,1e-300;5e-324,5e-324", "--json")
     assert code == 0, err
     free = json.loads(out)["free"]
     assert free.keys() == {"1", "2"}
     for v in free.values():
-        assert float(v) == pytest.approx(1e-300 / 5e-324, rel=1e-12)
+        assert float(v) == pytest.approx(2e23, rel=1e-12)
 
 
 @pytest.mark.parametrize("argv, coordinate", [
-    (("toric", "moment", "--type", "A1", "--lambda", "1",
-      "--point", "1e400;1"), "x_1"),
-    (("toric", "canon", "--type", "A2", "--point", "1e400,1;1,1"), "x_1"),
-    (("toric", "canon", "--type", "A2", "--point", "1,1;1e400,1"), "y_1"),
+    pytest.param(("toric", "canon", "--type", "A2", "--point", "1e400,1;1,1"),
+                 "x_1", id="argv1-x_1"),
 ])
 def test_toric_input_beyond_float_range_usage_error(capsys, argv,
                                                     coordinate):
-    """A Cox coordinate with no float exits 2 with one line naming it,
-    not an OverflowError traceback."""
+    """A canonical coordinate with no float exits 2 with one line naming
+    it, not an OverflowError traceback."""
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and coordinate in err
     assert "float range" in err
+
+
+@pytest.mark.parametrize("argv, key, want", [
+    (("toric", "moment", "--type", "A1", "--lambda", "1",
+      "--point", "1e400;1"), "moment", ["1.000000000000"]),
+    (("toric", "canon", "--type", "A2", "--point", "1,1;1e400,1"), "free",
+     {"1": "0.000000000000", "2": "0.000000000000"}),
+], ids=["moment-x_1", "canon-y_1"])
+def test_toric_input_beyond_float_range_is_exact(capsys, argv, key, want):
+    """A Cox coordinate with no float is read exactly: the moment image
+    of [1e400; 1] is the vertex lambda, and y_1 = 1e400 gives canonical
+    coordinates near 1e-267 and 1e-133, which print as 0."""
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0, err
+    assert json.loads(out)[key] == want
 
 
 def test_verify_pass_and_report_file(tmp_path, capsys):

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from petersonlab import grouprep, liealg, linalg, peterson, rootdata
 
+from test_acceptance import involution_star
+
 F = Fraction
 
 
@@ -83,7 +85,7 @@ def test_ad_w0_sends_e_to_minus_f_star():
     for name in ("A2", "B2", "G2"):
         ws = _ws(name)
         datum = ws.datum
-        star = rootdata.involution_star(datum)
+        star = involution_star(datum)
         rep = ws.adjoint_rep()
         w0 = grouprep.wdot(ws.w0())
         for i in range(datum.n):
@@ -197,8 +199,9 @@ def _dense_token(rep, token):
         return linalg.mat_mul(linalg.mat_mul(y, x), y)
     m = [[F(0)] * rep.dim for _ in range(rep.dim)]
     for label, c in token[1]:
-        m = [[x + c * y for x, y in zip(rm, rl)] for rm, rl in
-             zip(m, mod.sparse_to_dense(rep.label_rows(label)))]
+        rows, den = rep._int_label(label)
+        m = [[x + c * y / den for x, y in zip(rm, rl)] for rm, rl in
+             zip(m, mod.sparse_to_dense(rows))]
     return _dense_exp(m, F(1))
 
 
@@ -314,6 +317,6 @@ def test_lie_layer_builds_no_dense_product(monkeypatch):
     for i in range(4):
         rep = ws.fundamental_rep(i)
         for idx in range(len(ws.datum.positive_roots)):
-            rep.label_rows(('e', idx))
-            rep.label_rows(('f', idx))
+            rep._int_label(('e', idx))
+            rep._int_label(('f', idx))
     assert calls == []

@@ -27,6 +27,13 @@ def _fund(datum, i):
     return tuple(1 if k == i else 0 for k in range(datum.n))
 
 
+def _label_matrix(rep, label):
+    """Dense rational matrix of a Chevalley label's action on rep."""
+    rows, den = rep._int_label(label)
+    return [[F(v, den) for v in row]
+            for row in rep.module.sparse_to_dense(rows)]
+
+
 def test_weyl_dimension_known_values():
     for name, dims in FUNDAMENTAL_DIMS.items():
         datum = _datum(name)
@@ -38,24 +45,21 @@ def test_weyl_dimension_known_values():
 def test_built_modules_match_weyl_dimension():
     for name in ("A2", "B2", "G2"):
         datum = _datum(name)
-        basis = liealg.chevalley_basis(datum)
         for i in range(datum.n):
-            mod = liealg.build_irreducible(basis, _fund(datum, i))
+            mod = liealg._build_irreducible(datum, _fund(datum, i))
             assert mod.dimension == liealg.weyl_dimension(
                 datum, _fund(datum, i))
 
 
 def test_dimension_cap_enforced():
     datum = _datum("A2")
-    basis = liealg.chevalley_basis(datum)
     with pytest.raises(liealg.DimensionCapError):
-        liealg.build_irreducible(basis, (9, 9))
+        liealg._build_irreducible(datum, (9, 9))
 
 
 def test_highest_weight_vector_and_gram_normalization():
     datum = _datum("B2")
-    basis = liealg.chevalley_basis(datum)
-    mod = liealg.build_irreducible(basis, (1, 0))
+    mod = liealg._build_irreducible(datum, (1, 0))
     assert mod.weights[0] == (1, 0)
     assert mod.gram[0][0] == 1
     # the form is symmetric and block-diagonal across distinct weights
@@ -69,8 +73,7 @@ def test_highest_weight_vector_and_gram_normalization():
 
 def test_gram_contravariance():
     datum = _datum("A2")
-    basis = liealg.chevalley_basis(datum)
-    mod = liealg.build_irreducible(basis, (1, 1))
+    mod = liealg._build_irreducible(datum, (1, 1))
     d = mod.dimension
     gram = mod.gram
     for i in range(datum.n):
@@ -150,16 +153,15 @@ def test_label_rows_are_commutators_of_their_defining_pairs():
         cb = ws.chev
         for i in range(datum.n):
             rep = ws.fundamental_rep(i)
-            dense = rep.module.sparse_to_dense
             for idx, (j, bidx, div, fsign) in cb.defpair.items():
                 for kind in 'ef':
-                    a = dense(rep.label_rows((kind, cb.simple_index[j])))
-                    b = dense(rep.label_rows((kind, bidx)))
+                    a = _label_matrix(rep, (kind, cb.simple_index[j]))
+                    b = _label_matrix(rep, (kind, bidx))
                     c = F(fsign if kind == 'f' else 1, div)
                     want = [[c * (x - y) for x, y in zip(rab, rba)]
                             for rab, rba in zip(linalg.mat_mul(a, b),
                                                 linalg.mat_mul(b, a))]
-                    assert dense(rep.label_rows((kind, idx))) == want
+                    assert _label_matrix(rep, (kind, idx)) == want
 
 
 def test_adjoint_module_dimension_and_labels():

@@ -83,7 +83,8 @@ def test_no_unused_locals():
     assert not found, "unused locals in src: " + ", ".join(found)
 
 
-EXACT_LAYERS = ("linalg", "rootdata", "liealg", "grouprep", "polytope")
+EXACT_LAYERS = ("linalg", "rootdata", "liealg", "grouprep", "polytope",
+                "toric")
 
 
 def test_exact_layers_have_no_float_literals():

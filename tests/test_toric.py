@@ -14,33 +14,29 @@ def _datum(name):
 
 
 def torus_scale(datum, p, z):
-    """Action of the positive torus element prod alpha_i^vee(z_i)."""
+    """Action of the positive torus element prod alpha_i^vee(z_i), exact
+    on the rational values of the coordinates and of z."""
     n = datum.n
-    x = [float(p.x[i]) * float(z[i]) for i in range(n)]
-    y = []
-    for i in range(n):
-        f = 1.0
-        for k in range(n):
-            f *= float(z[k]) ** datum.pairing[i][k]
-        y.append(float(p.y[i]) * f)
+    x = [F(p.x[i]) * F(z[i]) for i in range(n)]
+    y = [F(p.y[i]) * math.prod(F(z[k]) ** datum.pairing[i][k]
+                               for k in range(n)) for i in range(n)]
     return toric.cox_point(x, y)
 
 
+def _rational_root(v, d):
+    """The rational d-th root of v; a test fails where there is none."""
+    r = F(round(v.numerator ** (1 / d)), round(v.denominator ** (1 / d)))
+    assert r ** d == v, (v, d)
+    return r
+
+
 def canonical_to_point(datum, c):
-    """Embed a canonical representative back as a CoxPoint."""
-    n = datum.n
+    """Embed a canonical representative back as a CoxPoint, where each of
+    its free coordinates is rational."""
     K, J = c.label
-    x = [0.0] * n
-    y = [0.0] * n
-    free = dict(c.free)
-    for i in range(n):
-        if i in K:
-            x[i] = 0.0
-        elif i in J:
-            x[i] = math.exp(free[i])
-        else:
-            x[i] = 1.0
-        y[i] = 1.0 if i in J else 0.0
+    free = {i: _rational_root(v, c.power) for i, v in c.free}
+    x = [0 if i in K else free.get(i, 1) for i in range(datum.n)]
+    y = [1 if i in J else 0 for i in range(datum.n)]
     return toric.cox_point(x, y)
 
 
@@ -63,10 +59,9 @@ def test_stratum_of():
 def test_canonicalize_a1_example():
     datum = _datum("A1")
     c = toric.canonicalize(datum, toric.cox_point((4,), (9,)))
-    assert c.label == ((), (0,))
-    (i, v), = c.free
-    assert i == 0
-    assert abs(math.exp(v) - 4 / 3) < 1e-12
+    # x e^u with y e^(2u) = 1: x^2 / y = 16/9, the square of 4/3
+    assert c == toric.CanonicalCoxPoint(label=((), (0,)), power=2,
+                                        free=((0, F(16, 9)),))
 
 
 def test_torus_scale_invariance():
@@ -77,6 +72,7 @@ def test_torus_scale_invariance():
                             (rng.uniform(0.2, 3), rng.uniform(0.2, 3)))
         z = (rng.uniform(0.5, 2), rng.uniform(0.5, 2))
         q = torus_scale(datum, p, z)
+        assert q != p
         assert toric.equivalent(toric.canonicalize(datum, p),
                                 toric.canonicalize(datum, q))
 
@@ -91,8 +87,8 @@ def test_equivalence_separates_strata_and_orbits():
 
 def test_equivalence_separates_orbits_below_the_float_range():
     """On A2, x_1 = 10^-400 and x_1 = 10^-500 (y = (1, 1)) both read 0.0
-    as floats.  y = (1, 1) is already canonical, so the free logarithms
-    are log x_1, which differ by 100 log(10)."""
+    as floats.  y = (1, 1) is already canonical, so the free cubes are
+    x_1^3 = 10^-1200 and 10^-1500."""
     datum = _datum("A2")
     p, q = (toric.canonicalize(datum, toric.cox_point((F(1, 10 ** e), 1),
                                                       (1, 1)))
@@ -103,14 +99,14 @@ def test_equivalence_separates_orbits_below_the_float_range():
 
 
 def test_canonical_roundtrip():
+    """On A2, x = (0, 3), y = (2, 2): x_2^3 / (y_1 y_2^2) = 27/8, so the
+    free coordinate is 3/2 and the representative is rational."""
     datum = _datum("A2")
-    p = toric.cox_point((0, 3), (2, 5))
+    p = toric.cox_point((0, 3), (2, 2))
     c = toric.canonicalize(datum, p)
     back = canonical_to_point(datum, c)
-    c2 = toric.canonicalize(datum, back)
-    assert c.label == c2.label
-    for (i, a), (j, b) in zip(c.free, c2.free):
-        assert i == j and abs(math.exp(a) - math.exp(b)) < 1e-9
+    assert back == toric.cox_point((0, F(3, 2)), (1, 1))
+    assert toric.canonicalize(datum, back) == c
 
 
 def test_moment_data_a1():
@@ -118,8 +114,9 @@ def test_moment_data_a1():
     poly, _ = polytope.build_polytope(datum, (F(1),))
     data = toric.moment_data(poly)
     assert data.dilate == 2
-    # (x exponents, y exponents) of 0 and alpha_1 = 2 w_1
-    assert data.points == (((0,), (1,)), ((2,), (0,)))
+    # x exponent, then y exponent, of 0 and alpha_1 = 2 w_1
+    assert data.points == ((0, 1), (2, 0))
+    assert data.top == (2, 1)
 
 
 def test_moment_map_a1_values():
@@ -130,8 +127,9 @@ def test_moment_map_a1_values():
     assert mu == (1.0,)
     mu = toric.moment_map(toric.cox_point((0,), (1,)), data)
     assert mu == (0.0,)
+    # characters y = 1 and x^2 = 4 at the weights 0 and 2, over N = 2
     mu = toric.moment_map(toric.cox_point((2,), (1,)), data)
-    assert abs(mu[0] - 0.8) < 1e-12
+    assert mu == (F(4, 5),)
 
 
 def test_moment_map_boundary_vertices_all_types():
@@ -155,33 +153,41 @@ def test_moment_map_respects_torus_action():
     data = toric.moment_data(poly)
     mp = toric.moment_map(p, data)
     mq = toric.moment_map(q, data)
-    assert max(abs(a - b) for a, b in zip(mp, mq)) < 1e-10
+    assert mp == mq
 
 
 @pytest.mark.parametrize("e", [40, 400])
 def test_canonicalize_coordinates_below_the_float_range(e):
     """On A2, x = y = (10^-e, 1) gives u = (2, 1) e log(10) / 3, so the free
-    coordinates are (10^(-e/3), 10^(e/3)).  10^-400 has no float (it reads
-    0.0): its logarithm is taken from the exact value."""
+    coordinates are (10^(-e/3), 10^(e/3)), held exactly as their cubes.
+    10^-400 has no float (it reads 0.0)."""
     datum = _datum("A2")
     t = F(1, 10 ** e)
     c = toric.canonicalize(datum, toric.cox_point((t, 1), (t, 1)))
-    assert c.label == ((), (0, 1))
-    want = (10.0 ** (-e / 3), 10.0 ** (e / 3))
-    assert [i for i, _ in c.free] == [0, 1]
-    for (_, got), v in zip(c.free, want):
-        assert abs(math.exp(got) - v) <= toric.EQUIV_RTOL * v
+    assert c == toric.CanonicalCoxPoint(
+        label=((), (0, 1)), power=3,
+        free=((0, F(1, 10 ** e)), (1, F(10 ** e))))
+
+
+def test_equivalence_separates_subnormal_neighbours():
+    """On A1, y = 3 10^-320 and y = 3000001 10^-326 differ in the seventh
+    digit, below the digits a subnormal float keeps: the exact canonical
+    forms x^2 / y tell the orbits apart."""
+    datum = _datum("A1")
+    p, q = (toric.canonicalize(datum, toric.cox_point((1,), (y,)))
+            for y in (F(3, 10 ** 320), F(3000001, 10 ** 326)))
+    assert not toric.equivalent(p, q)
+    assert p.free == ((0, F(10 ** 320, 3)),)
 
 
 def test_moment_map_coordinates_below_the_float_range():
     """On A1 at lambda = 1 the characters are y and x^2: at [10^-400;
     10^-800] both are 10^-800, as at [1; 1] both are 1, so the images agree.
-    Neither coordinate has a float; the characters are weighed by exact
-    logarithms, not by float zeros that would leave none."""
+    Neither coordinate has a float; the characters are exact integers
+    over one denominator, not float zeros that would leave none."""
     datum = _datum("A1")
     poly, _ = polytope.build_polytope(datum, (F(1),))
     data = toric.moment_data(poly)
     tiny = toric.cox_point((F(1, 10 ** 400),), (F(1, 10 ** 800),))
     one = toric.cox_point((1,), (1,))
-    assert toric.moment_map(tiny, data) == pytest.approx(
-        toric.moment_map(one, data), rel=1e-12)
+    assert toric.moment_map(tiny, data) == toric.moment_map(one, data)
