@@ -288,6 +288,18 @@ def cmd_polytope_build(args):
     return 0
 
 
+def _float_root(v, d):
+    """The float nearest v^(1/d), v > 0: the integer root of v 2^(s d), of
+    56 bits or more, plus a sticky bit if inexact, rounded once."""
+    s = 56 - (v.numerator.bit_length() - v.denominator.bit_length()) // d
+    q, rem = divmod(*(v * Fraction(2) ** (s * d)).as_integer_ratio())
+    r = 1 << -(-q.bit_length() // d)        # Newton from above the root
+    while (nxt := ((d - 1) * r + q // r ** (d - 1)) // d) < r:
+        r = nxt
+    sticky = bool(rem) or r ** d != q
+    return float(Fraction(2 * r + sticky) / Fraction(2) ** (s + 1))
+
+
 def cmd_toric_canon(args):
     datum = rootdata.datum_from_name(args.type)
     p = _parse_cox_point(args.point, datum.n)
@@ -295,11 +307,10 @@ def cmd_toric_canon(args):
     K, J = c.label
     free = {}
     for i, v in c.free:
-        num, den = v.as_integer_ratio()
-        log_x = (math.log(num) - math.log(den)) / c.power
         try:
-            free[str(i + 1)] = "%.12f" % math.exp(log_x)
+            free[str(i + 1)] = "%.12f" % _float_root(v, c.power)
         except OverflowError:
+            log_x = (math.log(v.numerator) - math.log(v.denominator)) / c.power
             raise ValueError("canonical coordinate x_%d = e^%.1f is beyond "
                              "the float range" % (i + 1, log_x)) from None
     out = {

@@ -80,18 +80,21 @@ class Rep:
         self.dim = module.dimension
         self._int_cache = {}      # Chevalley label -> integer rows
 
-    def apply_word(self, word, vec):
-        """The word's matrix applied to a column vector.
+    def apply_word(self, word, vecs):
+        """The word's matrix applied to each column vector of vecs.
 
-        vec is converted once to integer numerators over a common
-        denominator, every token is applied in integers, and the result is
-        converted back once.
+        The word's steps are read once.  Each vector is converted once to
+        integer numerators over a common denominator, every step is applied
+        in integers, and the result is converted back once.
         """
-        nums, den = linalg.integer_row(vec)
-        for token in reversed(word):
-            for rows, den_m, t in self._int_steps(token):
+        steps = [st for tok in reversed(word) for st in self._int_steps(tok)]
+        out = []
+        for vec in vecs:
+            nums, den = linalg.integer_row(vec)
+            for rows, den_m, t in steps:
                 nums, den = _int_exp_apply(rows, den_m, t, nums, den)
-        return [Fraction(v, den) if v else ZERO for v in nums]
+            out.append([Fraction(v, den) if v else ZERO for v in nums])
+        return out
 
     def _int_steps(self, token):
         """(integer rows, denominator, t) of each exp(t M) in a token."""
@@ -170,14 +173,14 @@ class GroupElement:
 
     def apply(self, rep, vec):
         """Matrix of the element applied to a column vector."""
-        return rep.apply_word(self.word, vec)
+        return rep.apply_word(self.word, [vec])[0]
 
     def row_apply(self, rep, row):
         """Row vector times the matrix of the element."""
         return linalg.mat_vec(linalg.transpose(self.matrix(rep)), row)
 
     def matrix(self, rep):
-        cols = [self.apply(rep, rep.unit(k)) for k in range(rep.dim)]
+        cols = rep.apply_word(self.word, map(rep.unit, range(rep.dim)))
         return [[cols[c][r] for c in range(rep.dim)] for r in range(rep.dim)]
 
 
@@ -378,7 +381,9 @@ def tnn_sample(w, params=None, rng=None):
 
 
 def tnn_membership_typeA(mat, tol=Fraction(0)):
-    """All-minors nonnegativity test for an upper unitriangular matrix."""
+    """True iff every minor of the upper unitriangular mat is at least
+    -tol = -tn/td, decided in integers: each k x k minor m of den * mat,
+    expanded along its first row, must have m * td >= -tn * den^k."""
     n = len(mat)
     for i in range(n):
         if mat[i][i] != 1:
@@ -386,12 +391,19 @@ def tnn_membership_typeA(mat, tol=Fraction(0)):
         for j in range(i):
             if mat[i][j] != 0:
                 raise ValueError("matrix is not upper triangular")
+    nums, den = linalg.integer_row([v for row in mat for v in row])
+    tn, td = tol.as_integer_ratio()
+    minors = {((), ()): 1}
     for k in range(1, n + 1):
+        bound, prev, minors = -tn * den ** k, minors, {}
         for rows in itertools.combinations(range(n), k):
+            top, sub = nums[n * rows[0]:], rows[1:]  # top[c] = den mat[r][c]
             for cols in itertools.combinations(range(n), k):
-                sub = [[mat[r][c] for c in cols] for r in rows]
-                if linalg.det(sub) < -tol:
+                m = sum((-1) ** j * top[c] * prev[sub, cols[:j] + cols[j + 1:]]
+                        for j, c in enumerate(cols) if top[c])
+                if m * td < bound:
                     return False
+                minors[rows, cols] = m
     return True
 
 

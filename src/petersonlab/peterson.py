@@ -57,8 +57,8 @@ def peterson_membership(g, ws):
 
 
 def evaluate(poly, c):
-    """An {exponents: coefficient} polynomial at the point c: exact at
-    rational c, a float at float c."""
+    """An {exponents: coefficient} polynomial at the rational point c,
+    exactly."""
     return sum((math.prod(map(pow, c, exps), start=coeff)
                 for exps, coeff in poly.items()), ZERO)
 
@@ -210,8 +210,8 @@ def invert_theorem59(ws, target, seed=0, grid_starts=True):
     target = [float(t) for t in target]
     if len(target) != len(J):
         raise ValueError("need one target per index in J")
-    if any(t < 0 for t in target):
-        raise ValueError("targets must be nonnegative")
+    if not all(0 <= t < math.inf for t in target):
+        raise ValueError("targets must be finite and nonnegative")
     comps = rootdata.dynkin_components(datum, J)
     if any(len(c) > 2 or any(datum.pairing[i][j] < -1 for i in c for j in c)
            for c in comps):
@@ -222,12 +222,19 @@ def invert_theorem59(ws, target, seed=0, grid_starts=True):
     # already about 1e-10
     tol = INVERSION_TOL * max([1.0] + target)
     polys = [ws.minor_polynomials(J)[j] for j in J]
-    grads = [[{e[:k] + (e[k] - 1,) + e[k + 1:]: a * e[k]
-               for e, a in poly.items() if e[k]} for k in range(len(J))]
+    terms = [[(e, float(a)) for e, a in poly.items()] for poly in polys]
+    grads = [[[(e[:k] + (e[k] - 1,) + e[k + 1:], float(a * e[k]))
+               for e, a in poly.items() if e[k]] for k in range(len(J))]
              for poly in polys]
 
+    def value(f, c):    # plain left to right: sum() compensates on 3.12+
+        acc = 0.0
+        for exps, coeff in f:
+            acc += math.prod(map(pow, c, exps), start=coeff)
+        return acc
+
     def residual(c):
-        return [evaluate(poly, c) - t for poly, t in zip(polys, target)]
+        return [value(f, c) - t for f, t in zip(terms, target)]
 
     def newton(c):
         try:
@@ -235,7 +242,7 @@ def invert_theorem59(ws, target, seed=0, grid_starts=True):
                 r = residual(c)
                 if all(abs(v) < tol * 1e-2 for v in r):  # False on nan
                     return c
-                jac = [[evaluate(d, c) for d in row] for row in grads]
+                jac = [[value(d, c) for d in row] for row in grads]
                 step = _newton_solve(jac, r)
                 c = [a - b for a, b in zip(c, step)]
         except (ValueError, OverflowError):  # singular Jacobian, divergence

@@ -169,6 +169,17 @@ def test_toric_canon_rescales_tiny_points_in_logarithms(capsys):
         assert float(v) == pytest.approx(2e23, rel=1e-12)
 
 
+def test_toric_canon_prints_the_nearest_float(capsys):
+    """The free coordinate is the float nearest its exact value 10^300,
+    read off an integer root, not exp of a logarithm whose rounding error
+    grows with its size."""
+    code, out, err = run(capsys, "toric", "canon", "--type", "A2",
+                         "--point", "1e300,1;1,1", "--json")
+    assert code == 0, err
+    free = json.loads(out)["free"]
+    assert float(free["1"]) == 1e300 and free["2"] == "1.000000000000"
+
+
 @pytest.mark.parametrize("argv, coordinate", [
     pytest.param(("toric", "canon", "--type", "A2", "--point", "1e400,1;1,1"),
                  "x_1", id="argv1-x_1"),

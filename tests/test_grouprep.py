@@ -1,4 +1,5 @@
 from fractions import Fraction
+import itertools
 import random
 
 import pytest
@@ -114,6 +115,64 @@ def test_tnn_membership_examples():
     for i, t in [(0, 1), (1, 1), (2, 1), (0, 1), (1, 1), (0, 1)]:
         g = g * grouprep.x_(i, F(t))
     assert grouprep.tnn_membership_typeA(g.matrix(rep))
+
+
+def tnn_membership_reference(mat, tol=Fraction(0)):
+    """Every minor of mat is at least -tol, one linalg.det per minor: the
+    reference for grouprep.tnn_membership_typeA."""
+    n = len(mat)
+    return all(linalg.det([[mat[r][c] for c in cols] for r in rows]) >= -tol
+               for k in range(1, n + 1)
+               for rows in itertools.combinations(range(n), k)
+               for cols in itertools.combinations(range(n), k))
+
+
+def _random_unitriangular(rng, n):
+    """An upper unitriangular matrix near the boundary of the totally
+    nonnegative ones: the product of x_i(t) = 1 + t E_{i,i+1} along a short
+    random word, t rational or read exactly from a float, with one entry
+    above the diagonal moved by a small amount of either sign."""
+    mat = linalg.identity(n)
+    for _ in range(rng.randint(0, n + 2)):
+        i = rng.randrange(n - 1)
+        t = F(rng.randint(1, 12), rng.randint(1, 6))
+        if rng.random() < 0.5:
+            t = F(float(t) + 0.1)
+        step = linalg.identity(n)
+        step[i][i + 1] = t
+        mat = linalg.mat_mul(mat, step)
+    i = rng.randrange(n - 1)
+    j = rng.randrange(i + 1, n)
+    mat[i][j] += rng.choice([-1, 1]) * rng.choice(
+        [F(0), F(1e-10), F(1e-9), F(3e-9), F(1, 3)])
+    return mat
+
+
+@pytest.mark.parametrize("tol", [F(0), 1e-9])
+def test_tnn_membership_matches_reference(tol):
+    rng = random.Random(5)
+    verdicts = []
+    for n in (3, 4):
+        for _ in range(150):
+            mat = _random_unitriangular(rng, n)
+            got = grouprep.tnn_membership_typeA(mat, tol=tol)
+            assert got == tnn_membership_reference(mat, tol=tol), mat
+            verdicts.append(got)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("tol, eps, ok", [
+    (1e-9, F(1e-9), True),
+    (1e-9, F(1e-9) + F(1, 10 ** 40), False),
+    (F(0), F(0), True),
+    (F(0), F(1, 10 ** 40), False),
+])
+def test_tnn_membership_tolerance_boundary(tol, eps, ok):
+    """The worst minor of [[1, 1, 1 + eps], [0, 1, 1], [0, 0, 1]] is
+    -eps: at exactly -tol it is accepted, just below it is rejected."""
+    mat = [[F(1), F(1), 1 + eps], [F(0), F(1), F(1)], [F(0), F(0), F(1)]]
+    assert grouprep.tnn_membership_typeA(mat, tol=tol) is ok
+    assert tnn_membership_reference(mat, tol=tol) is ok
 
 
 def test_tnn_membership_rejects_nontriangular():

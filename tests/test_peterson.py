@@ -184,6 +184,15 @@ def test_invert_rejects_negative_targets():
         peterson.invert_theorem59(ws, [-1])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_invert_rejects_non_finite_targets(bad):
+    """A target with no finite value is refused as a negative one is, not
+    reported as a Newton failure."""
+    ws = _ws("A2")
+    with pytest.raises(ValueError, match="finite"):
+        peterson.invert_theorem59(ws, [bad, 1.0])
+
+
 def test_invert_extreme_target_fails_cleanly():
     """Iterates that overflow or meet a singular Jacobian end their start;
     with every start spent the inversion raises InversionError."""

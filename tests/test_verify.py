@@ -118,6 +118,8 @@ def test_small_unit_reports_are_pinned():
                           "2bc717d3c357e7c5567325721ac92425",
         ("theorem59", "A1"): "6f415a1a8bdad4491d1b826312d902cd"
                              "d4c53395ea26f466b1a580a92c0a2bb6",
+        ("theorem59", "A2"): "8b094f2bc3204e512e8833d438a535e5"
+                             "44fe3b2b3cd9b95c42f57f921721f53d",
         ("moment-cells", "G2"): "6f97dde227607c38a99cf44405c9155c"
                                 "72d3d57bde50a15589300c3284580aed",
     }
