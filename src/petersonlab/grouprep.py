@@ -217,7 +217,8 @@ def exp_element(elem):
 
 class Workspace:
     """Lazily built registry of the reps, longest elements, centralizer
-    bases and minor polynomials of one root datum, in one keyed store."""
+    bases, minor and matrix polynomials, their integer forms and float
+    Newton terms of one root datum, in one keyed store."""
 
     def __init__(self, datum):
         self.datum = datum
@@ -276,40 +277,112 @@ class Workspace:
 
     def minor_polynomials(self, J):
         """Delta_i(exp(sum c_k b_k) wdot(w_J)) for each node i, as shared
-        {exponents of c: Fraction} polynomials, built once per J."""
+        {exponents of c: Fraction} polynomials, built once per J: the
+        highest-weight coordinate of the exp series from wdot(w_J) v_i."""
         J = tuple(sorted(set(J)))
-        return self._once(('minors', J), lambda: _minor_polynomials(self, J))
+
+        def build():
+            polys = []
+            for rep in map(self.fundamental_rep, range(self.datum.n)):
+                u = wdot(self.longest(J)).apply(rep, rep.unit(0))
+                polys += _exp_series(self, J, rep, *linalg.integer_row(u),
+                                     rows=(0,))
+            return tuple(polys)
+        return self._once(('minors', J), build)
+
+    def matrix_polynomials(self, J, i):
+        """The entries of exp(sum c_k b_k) on fundamental_rep(i), row by
+        row, as shared {exponents of c: Fraction} polynomials, built once
+        per (J, i): column c is the exp series from the unit vector v_c."""
+        J = tuple(sorted(set(J)))
+
+        def build():
+            rep = self.fundamental_rep(i)
+            cols = [_exp_series(self, J, rep, [int(r == c) for r in
+                                               range(rep.dim)], 1)
+                    for c in range(rep.dim)]
+            return tuple(col[r] for r in range(rep.dim) for col in cols)
+        return self._once(('matrix', J, i), build)
+
+    def integer_polynomials(self, J, i=None):
+        """IntegerPolynomials of minor_polynomials(J), or given i of
+        matrix_polynomials(J, i), built once per entry."""
+        J = tuple(sorted(set(J)))
+        if i is None:
+            return self._once(('integer minors', J), lambda:
+                              IntegerPolynomials(self.minor_polynomials(J)))
+        return self._once(('integer matrix', J, i), lambda:
+                          IntegerPolynomials(self.matrix_polynomials(J, i)))
+
+    def newton_terms(self, J):
+        """(values, gradients): each minor polynomial of J, and each of
+        its partial derivatives, as a list of (exponents, float
+        coefficient) terms in the polynomial's own order, built once per
+        J for a float Newton iteration."""
+        J = tuple(sorted(set(J)))
+
+        def build():
+            polys = self.minor_polynomials(J)
+            return ([[(e, float(a)) for e, a in f.items()] for f in polys],
+                    [[[(e[:k] + (e[k] - 1,) + e[k + 1:], float(a * e[k]))
+                       for e, a in f.items() if e[k]] for k in range(len(J))]
+                     for f in polys])
+        return self._once(('newton', J), build)
 
 
-def _minor_polynomials(ws, J):
-    """X = sum c_k b_k is nilpotent, so exp(X) u for u = wdot(w_J) v_i is
+def _exp_series(ws, J, rep, u, den, rows=None):
+    """exp(X) u / den for X = sum c_k b_k over the centralizer basis of J
+    and an integer vector u, as one {exponents of c: Fraction} polynomial
+    per coordinate in rows (default: all).  X is nilpotent, so exp(X) u is
     the finite sum of X^m u / m!, taken in integers over one denominator."""
     basis = ws.centralizer(J)
-    polys = []
-    for i in range(ws.datum.n):
-        rep = ws.fundamental_rep(i)
-        # b_k acts as rows_k / d_k: expand in the c_k / d_k
-        mats = [rep._int_element(tuple(b.items())) for b in basis]
-        u, den = linalg.integer_row(
-            wdot(ws.longest(J)).apply(rep, rep.unit(0)))
-        term = {(0,) * len(basis): u}
-        poly, m = {}, 0
-        while term:     # den * X^m u / m!, in the c_k / d_k
-            m += 1
-            nxt = {}
-            for e, vec in term.items():
-                if vec[0]:      # each e has one degree m
-                    poly[e] = Fraction(vec[0], den * prod(
+    rows = range(rep.dim) if rows is None else rows
+    # b_k acts as rows_k / d_k: expand in the c_k / d_k
+    mats = [rep._int_element(tuple(b.items())) for b in basis]
+    term = {(0,) * len(basis): u}
+    polys, m = [{} for _ in rows], 0
+    while term:     # den * X^m u / m!, in the c_k / d_k
+        m += 1
+        nxt = {}
+        for e, vec in term.items():
+            for poly, r in zip(polys, rows):
+                if vec[r]:      # each e has one degree m
+                    poly[e] = Fraction(vec[r], den * prod(
                         d ** x for (_, d), x in zip(mats, e)))
-                for k, (rows, _) in enumerate(mats):
-                    key = e[:k] + (e[k] + 1,) + e[k + 1:]
-                    acc = nxt.get(key, [0] * rep.dim)
-                    nxt[key] = [a + sum(v * vec[c] for c, v in row)
-                                for a, row in zip(acc, rows)]
-            term = {e: vec for e, vec in nxt.items() if any(vec)}
-            den *= m
-        polys.append(poly)
-    return tuple(polys)
+            for k, (mat, _) in enumerate(mats):
+                key = e[:k] + (e[k] + 1,) + e[k + 1:]
+                acc = nxt.get(key, [0] * rep.dim)
+                nxt[key] = [a + sum(v * vec[c] for c, v in row)
+                            for a, row in zip(acc, mat)]
+        term = {e: vec for e, vec in nxt.items() if any(vec)}
+        den *= m
+    return polys
+
+
+class IntegerPolynomials:
+    """Rational polynomials as integer terms over one common denominator
+    `den`, each term padded to the top degree `degree`: evaluated at the
+    rational point nums / q, f is an integer over den * q**degree."""
+
+    def __init__(self, polys):
+        self.den = lcm(*(a.denominator for f in polys for a in f.values()))
+        self.degree = max((sum(e) for f in polys for e in f), default=0)
+        monomials = list(dict.fromkeys(e for f in polys for e in f))
+        index = {e: j for j, e in enumerate(monomials)}
+        # each monomial with its padding degree - |e|
+        self.monomials = tuple((e, self.degree - sum(e)) for e in monomials)
+        self.terms = tuple(tuple((index[e], a.numerator
+                                  * (self.den // a.denominator))
+                                 for e, a in f.items()) for f in polys)
+
+    def evaluate(self, nums, q):
+        """(numerators, den * q**degree): the polynomials at the point
+        nums / q, as integers over one denominator."""
+        qpow = [q ** j for j in range(self.degree + 1)]
+        mono = [prod(map(pow, nums, e), start=qpow[pad])
+                for e, pad in self.monomials]
+        return ([sum(a * mono[j] for j, a in f) for f in self.terms],
+                self.den * qpow[-1])
 
 
 @functools.lru_cache(maxsize=32)
@@ -382,16 +455,21 @@ def tnn_sample(w, params=None, rng=None):
 
 def tnn_membership_typeA(mat, tol=Fraction(0)):
     """True iff every minor of the upper unitriangular mat is at least
-    -tol = -tn/td, decided in integers: each k x k minor m of den * mat,
-    expanded along its first row, must have m * td >= -tn * den^k."""
-    n = len(mat)
-    for i in range(n):
-        if mat[i][i] != 1:
-            raise ValueError("matrix is not unitriangular")
-        for j in range(i):
-            if mat[i][j] != 0:
-                raise ValueError("matrix is not upper triangular")
+    -tol: tnn_membership_integer on mat over one common denominator."""
     nums, den = linalg.integer_row([v for row in mat for v in row])
+    return tnn_membership_integer(nums, den, len(mat), tol)
+
+
+def tnn_membership_integer(nums, den, n, tol=0):
+    """True iff every minor of the upper unitriangular n x n matrix
+    nums / den (row by row) is at least -tol = -tn/td, decided in
+    integers: each k x k minor m of nums, expanded along its first row,
+    must have m * td >= -tn * den^k."""
+    for i in range(n):
+        if nums[n * i + i] != den:
+            raise ValueError("matrix is not unitriangular")
+        if any(nums[n * i:n * i + i]):
+            raise ValueError("matrix is not upper triangular")
     tn, td = tol.as_integer_ratio()
     minors = {((), ()): 1}
     for k in range(1, n + 1):

@@ -1,7 +1,8 @@
 """Peterson-variety points in normal form x * wdot(w_J), stratum
 classification by vanishing minors, the map Psi into Cox coordinates,
 component splitting for reducible data, and low-rank Newton inversion
-of the minor map, read off the polynomials of `ws.minor_polynomials(J)`.
+of the minor map, read off the polynomials of `ws.minor_polynomials(J)`
+and certified in integers.
 """
 
 from dataclasses import dataclass
@@ -197,8 +198,8 @@ def _newton_solve(a, b):
 def invert_theorem59(ws, target, seed=0, grid_starts=True):
     """The certified totally nonnegative preimage of the target minors: a
     Peterson point whose minors match the targets and whose unipotent part
-    passes the exact type-A minor test.  Its centralizer coordinates may be
-    negative.
+    passes the exact type-A minor test, both decided by certify_theorem59.
+    Its centralizer coordinates may be negative.
 
     Implemented for J whose Dynkin components are of type A1 or A2, where
     that test applies.  Newton's method on the minor polynomials of all of
@@ -221,11 +222,7 @@ def invert_theorem59(ws, target, seed=0, grid_starts=True):
     # relative to the target: the float spacing of minors near 1e6 is
     # already about 1e-10
     tol = INVERSION_TOL * max([1.0] + target)
-    polys = [ws.minor_polynomials(J)[j] for j in J]
-    terms = [[(e, float(a)) for e, a in poly.items()] for poly in polys]
-    grads = [[[(e[:k] + (e[k] - 1,) + e[k + 1:], float(a * e[k]))
-               for e, a in poly.items() if e[k]] for k in range(len(J))]
-             for poly in polys]
+    terms, grads = ws.newton_terms(J)
 
     def value(f, c):    # plain left to right: sum() compensates on 3.12+
         acc = 0.0
@@ -258,18 +255,42 @@ def invert_theorem59(ws, target, seed=0, grid_starts=True):
         coords = newton(start)
         if coords is None:
             continue
-        # the exact type-A minor test on the fundamental module of each
-        # component's first node certifies the solution
         p = make_point(ws, J, coords)
-        x = unipotent_part(ws, p)
-        if all(grouprep.tnn_membership_typeA(
-                x.matrix(ws.fundamental_rep(comp[0])), tol=INVERSION_TOL)
-               for comp in comps):
-            resid = max(abs(float(evaluate(poly, p.coords)) - t)
-                        for poly, t in zip(polys, target))
-            if resid >= tol:
+        cert = certify_theorem59(ws, p, target)
+        if cert.tnn:
+            if cert.residual >= tol:
                 raise InversionError("Newton inversion residual %.3e >= %.1e"
-                                     % (resid, tol))
+                                     % (cert.residual, tol))
             return p
     raise InversionError("no convergent Newton start for targets %r"
                          % (target,))
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """What certify_theorem59 decides of one point."""
+
+    minors: tuple      # integer numerators of Delta_1, ..., Delta_n over den
+    den: int
+    tnn: bool          # the type-A minor test passes on every component
+    residual: float    # max |Delta_i - target_i|
+
+
+def certify_theorem59(ws, p, target):
+    """The exact certificate of a Peterson point p with rational (for a
+    Newton root, dyadic) coordinates against the float target minors.
+
+    With the coordinates as integers nums over one denominator q, the
+    integer polynomials of `ws.integer_polynomials` give the fundamental
+    minors and the matrix of the unipotent part on the fundamental module
+    of each component's first node as integer numerators.  The matrix
+    passes `grouprep.tnn_membership_integer` at INVERSION_TOL, and the
+    residual is one correctly rounded integer division per minor."""
+    nums, q = linalg.integer_row(p.coords)
+    minors, den = ws.integer_polynomials(p.J).evaluate(nums, q)
+    tnn = all(grouprep.tnn_membership_integer(
+        *ws.integer_polynomials(p.J, comp[0]).evaluate(nums, q),
+        ws.fundamental_rep(comp[0]).dim, tol=INVERSION_TOL)
+        for comp in rootdata.dynkin_components(ws.datum, p.J))
+    resid = max(abs(m / den - t) for m, t in zip(minors, target))
+    return Certificate(tuple(minors), den, tnn, resid)

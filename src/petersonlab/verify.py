@@ -302,13 +302,10 @@ def suite_theorem59(type_name, samples, seed):
             except peterson.InversionError as exc:
                 yield (False, tag, "convergence", str(exc))
                 continue
-            got = [float(v) for v in peterson.deltas(ws, p)]
-            resid = max(abs(g - t) for g, t in zip(got, (a, b)))
-            yield (resid < 1e-9, tag + " residual", "< 1e-9", resid)
-            x = peterson.unipotent_part(ws, p)
-            mat = x.matrix(ws.fundamental_rep(0))
-            tnn_ok = grouprep.tnn_membership_typeA(mat, tol=1e-9)
-            yield (tnn_ok, tag + " minor test", True, tnn_ok)
+            cert = peterson.certify_theorem59(ws, p, (a, b))
+            yield (cert.residual < 1e-9, tag + " residual", "< 1e-9",
+                   cert.residual)
+            yield (cert.tnn, tag + " minor test", True, cert.tnn)
             probes = []
             for s in range(1, 11):
                 try:

@@ -180,6 +180,17 @@ def test_tnn_membership_rejects_nontriangular():
         grouprep.tnn_membership_typeA([[F(1), F(0)], [F(1), F(1)]])
 
 
+def test_tnn_membership_integer_checks_the_diagonal_over_den():
+    """The integer core reads nums / den: a diagonal numerator equal to
+    den is 1, any other is refused."""
+    assert grouprep.tnn_membership_integer([2, 1, 0, 2], 2, 2)
+    assert not grouprep.tnn_membership_integer([2, -1, 0, 2], 2, 2)
+    with pytest.raises(ValueError, match="unitriangular"):
+        grouprep.tnn_membership_integer([2, 1, 0, 3], 2, 2)
+    with pytest.raises(ValueError, match="upper triangular"):
+        grouprep.tnn_membership_integer([2, 0, 1, 2], 2, 2)
+
+
 def test_tnn_sample_parabolic_stays_tnn_in_type_a():
     ws = _ws("A3")
     rep = ws.fundamental_rep(0)

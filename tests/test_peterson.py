@@ -1,12 +1,13 @@
 from fractions import Fraction
 import os
+import random
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
-from petersonlab import grouprep, peterson, rootdata, toric
+from petersonlab import grouprep, linalg, peterson, rootdata, toric, verify
 
 F = Fraction
 
@@ -239,6 +240,100 @@ def test_invert_reducible_targets(name, target):
     p = peterson.invert_theorem59(ws, target)
     got = [float(v) for v in peterson.deltas(ws, p)]
     assert max(abs(g - t) for g, t in zip(got, target)) < 1e-9
+
+
+def _certificate_reference(ws, p, target):
+    """(minor test, minors, residual) of p through the Fraction kernel:
+    the unipotent part's matrix on each component's first fundamental
+    module, and the exact minors."""
+    tnn = all(grouprep.tnn_membership_typeA(
+        peterson.unipotent_part(ws, p).matrix(ws.fundamental_rep(comp[0])),
+        tol=1e-9) for comp in rootdata.dynkin_components(ws.datum, p.J))
+    minors = peterson.deltas(ws, p)
+    resid = max(abs(float(m) - t) for m, t in zip(minors, target))
+    return tnn, minors, resid
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A1xA1", "A2xA1"])
+def test_certificate_matches_the_fraction_reference(name):
+    """The integer certificate of theorem59 decides the minor test, and
+    gives the minors and the residual, exactly as the Fraction kernel does:
+    at random dyadic floats, at random rationals, and with one coordinate
+    just inside or just outside -1e-9, where the worst minor is that
+    coordinate."""
+    ws = _ws(name)
+    n = ws.datum.n
+    J = tuple(range(n))
+    rng = random.Random(7)
+    points = []
+    for _ in range(12):
+        points.append([rng.uniform(-2, 10) for _ in J])
+        points.append([F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in J])
+    edge = {}
+    for k in range(n):
+        for scale, ok in ((1 - 2 ** -10, True), (1 + 2 ** -10, False)):
+            coords = [0.0] * n
+            coords[k] = -1e-9 * scale
+            points.append(coords)
+            edge[len(points) - 1] = ok
+    verdicts = set()
+    for j, coords in enumerate(points):
+        p = peterson.make_point(ws, J, coords)
+        target = [rng.uniform(0, 10) for _ in J]
+        cert = peterson.certify_theorem59(ws, p, target)
+        tnn, minors, resid = _certificate_reference(ws, p, target)
+        assert cert.tnn is tnn, coords
+        assert tuple(F(m, cert.den) for m in cert.minors) == minors, coords
+        assert cert.residual == resid, coords
+        if j in edge:
+            assert tnn is edge[j], coords
+        verdicts.add(tnn)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["A2", "A2xA1"])
+def test_matrix_polynomials_reproduce_the_kernel(name):
+    """For every J and node i, the integer matrix polynomials evaluated at
+    rational points are the unipotent part's matrix on the i-th
+    fundamental module, entry for entry."""
+    ws = _ws(name)
+    n = ws.datum.n
+    for J in rootdata.subsets(range(n)):
+        for coords in ([F(0)] * len(J),
+                       [F(-3, 2) + F(k, 3) for k in range(len(J))],
+                       [F(5 - 2 * k, 1 + k) for k in range(len(J))]):
+            p = peterson.make_point(ws, J, coords)
+            x = peterson.unipotent_part(ws, p)
+            for i in range(n):
+                rep = ws.fundamental_rep(i)
+                nums, q = linalg.integer_row(p.coords)
+                got, den = ws.integer_polynomials(J, i).evaluate(nums, q)
+                want = [v for row in x.matrix(rep) for v in row]
+                assert [F(v, den) for v in got] == want, (J, coords, i)
+
+
+def test_theorem59_never_takes_the_fraction_path(monkeypatch):
+    """The inversion and the theorem59 suite certify each root in
+    integers: no group-element matrix, unipotent part or Fraction minor
+    test is taken."""
+    calls = []
+
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append(attr)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(grouprep.GroupElement, "matrix")
+    counted(peterson, "unipotent_part")
+    counted(grouprep, "tnn_membership_typeA")
+    ws = _ws("A2")
+    peterson.invert_theorem59(ws, [2.5, 1.5])
+    rep = verify.run_suite("theorem59", "A2", 0, None)
+    assert rep.cases and not rep.failures
+    assert calls == []
 
 
 def test_classify_stratum_checks_under_python_O():
