@@ -31,8 +31,20 @@ def _dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _parse_fraction(text):
+    """Fraction(text), refusing a decimal exponent e with |e| over
+    sys.get_int_max_str_digits(): Fraction would build 10**e first."""
+    m = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    limit = sys.get_int_max_str_digits()
+    if m and limit and abs(int(m.group(1))) > limit:
+        raise ValueError("decimal exponent of %r exceeds the limit %d"
+                         % (text, limit))
+    return Fraction(text)
+
+
 def _parse_fractions(text):
-    return tuple(Fraction(part) for part in text.split(","))
+    """Comma list -> tuple of Fractions; the empty list is ()."""
+    return tuple(map(_parse_fraction, text.split(","))) if text else ()
 
 
 def _sized(values, n, option):
@@ -75,7 +87,7 @@ def _parse_word(text, n):
         if not m:
             raise ValueError("cannot parse token %r" % chunk)
         if m.group(1):
-            kind, idx, t = m.group(1), int(m.group(2)), Fraction(m.group(3))
+            kind, idx, t = m.group(1), int(m.group(2)), m.group(3)
         else:
             kind, idx, t = m.group(4), int(m.group(5)), None
         if not 1 <= idx <= n:
@@ -83,9 +95,9 @@ def _parse_word(text, n):
                              % (idx, n))
         i = idx - 1
         if kind == "x":
-            elem = elem * grouprep.x_(i, t)
+            elem = elem * grouprep.x_(i, _parse_fraction(t))
         elif kind == "y":
-            elem = elem * grouprep.y_(i, t)
+            elem = elem * grouprep.y_(i, _parse_fraction(t))
         elif kind == "s":
             elem = elem * grouprep.sdot(i)
         else:

@@ -217,8 +217,8 @@ def exp_element(elem):
 
 class Workspace:
     """Lazily built registry of the reps, longest elements, centralizer
-    bases, minor and matrix polynomials, their integer forms and float
-    Newton terms of one root datum, in one keyed store."""
+    bases, minor and matrix polynomials and float Newton terms of one root
+    datum, in one keyed store."""
 
     def __init__(self, datum):
         self.datum = datum
@@ -277,7 +277,7 @@ class Workspace:
 
     def minor_polynomials(self, J):
         """Delta_i(exp(sum c_k b_k) wdot(w_J)) for each node i, as shared
-        {exponents of c: Fraction} polynomials, built once per J: the
+        IntegerPolynomials in the c_k, built once per J: the
         highest-weight coordinate of the exp series from wdot(w_J) v_i."""
         J = tuple(sorted(set(J)))
 
@@ -287,13 +287,13 @@ class Workspace:
                 u = wdot(self.longest(J)).apply(rep, rep.unit(0))
                 polys += _exp_series(self, J, rep, *linalg.integer_row(u),
                                      rows=(0,))
-            return tuple(polys)
+            return IntegerPolynomials(polys)
         return self._once(('minors', J), build)
 
     def matrix_polynomials(self, J, i):
         """The entries of exp(sum c_k b_k) on fundamental_rep(i), row by
-        row, as shared {exponents of c: Fraction} polynomials, built once
-        per (J, i): column c is the exp series from the unit vector v_c."""
+        row, as shared IntegerPolynomials, built once per (J, i): column c
+        is the exp series from the unit vector v_c."""
         J = tuple(sorted(set(J)))
 
         def build():
@@ -301,31 +301,23 @@ class Workspace:
             cols = [_exp_series(self, J, rep, [int(r == c) for r in
                                                range(rep.dim)], 1)
                     for c in range(rep.dim)]
-            return tuple(col[r] for r in range(rep.dim) for col in cols)
+            return IntegerPolynomials([f for row in zip(*cols) for f in row])
         return self._once(('matrix', J, i), build)
-
-    def integer_polynomials(self, J, i=None):
-        """IntegerPolynomials of minor_polynomials(J), or given i of
-        matrix_polynomials(J, i), built once per entry."""
-        J = tuple(sorted(set(J)))
-        if i is None:
-            return self._once(('integer minors', J), lambda:
-                              IntegerPolynomials(self.minor_polynomials(J)))
-        return self._once(('integer matrix', J, i), lambda:
-                          IntegerPolynomials(self.matrix_polynomials(J, i)))
 
     def newton_terms(self, J):
         """(values, gradients): each minor polynomial of J, and each of
-        its partial derivatives, as a list of (exponents, float
-        coefficient) terms in the polynomial's own order, built once per
-        J for a float Newton iteration."""
+        its partial derivatives, as (exponents, float coefficient) terms in
+        the polynomial's own order, built once per J for a float Newton
+        iteration.  Each coefficient is one correctly rounded int division."""
         J = tuple(sorted(set(J)))
 
         def build():
-            polys = self.minor_polynomials(J)
-            return ([[(e, float(a)) for e, a in f.items()] for f in polys],
-                    [[[(e[:k] + (e[k] - 1,) + e[k + 1:], float(a * e[k]))
-                       for e, a in f.items() if e[k]] for k in range(len(J))]
+            ip = self.minor_polynomials(J)
+            polys = [[(ip.monomials[j][0], a) for j, a in f]
+                     for f in ip.terms]
+            return ([[(e, a / ip.den) for e, a in f] for f in polys],
+                    [[[(e[:k] + (e[k] - 1,) + e[k + 1:], a * e[k] / ip.den)
+                       for e, a in f if e[k]] for k in range(len(J))]
                      for f in polys])
         return self._once(('newton', J), build)
 

@@ -57,16 +57,11 @@ def peterson_membership(g, ws):
     return True
 
 
-def evaluate(poly, c):
-    """An {exponents: coefficient} polynomial at the rational point c,
-    exactly."""
-    return sum((math.prod(map(pow, c, exps), start=coeff)
-                for exps, coeff in poly.items()), ZERO)
-
-
 def deltas(ws, p):
     """All fundamental minors of the normal-form element, exact."""
-    return tuple(evaluate(f, p.coords) for f in ws.minor_polynomials(p.J))
+    nums, den = ws.minor_polynomials(p.J).evaluate(
+        *linalg.integer_row(p.coords))
+    return tuple(Fraction(m, den) for m in nums)
 
 
 def classify_stratum(J, minors):
@@ -281,15 +276,15 @@ def certify_theorem59(ws, p, target):
     Newton root, dyadic) coordinates against the float target minors.
 
     With the coordinates as integers nums over one denominator q, the
-    integer polynomials of `ws.integer_polynomials` give the fundamental
-    minors and the matrix of the unipotent part on the fundamental module
-    of each component's first node as integer numerators.  The matrix
+    integer forms `ws.minor_polynomials` and `ws.matrix_polynomials` give
+    the fundamental minors and the matrix of the unipotent part on the
+    fundamental module of each component's first node as numerators.  The matrix
     passes `grouprep.tnn_membership_integer` at INVERSION_TOL, and the
     residual is one correctly rounded integer division per minor."""
     nums, q = linalg.integer_row(p.coords)
-    minors, den = ws.integer_polynomials(p.J).evaluate(nums, q)
+    minors, den = ws.minor_polynomials(p.J).evaluate(nums, q)
     tnn = all(grouprep.tnn_membership_integer(
-        *ws.integer_polynomials(p.J, comp[0]).evaluate(nums, q),
+        *ws.matrix_polynomials(p.J, comp[0]).evaluate(nums, q),
         ws.fundamental_rep(comp[0]).dim, tol=INVERSION_TOL)
         for comp in rootdata.dynkin_components(ws.datum, p.J))
     resid = max(abs(m / den - t) for m, t in zip(minors, target))

@@ -1,3 +1,4 @@
+from fractions import Fraction
 import hashlib
 import json
 import os
@@ -8,6 +9,8 @@ import pytest
 
 import petersonlab
 from petersonlab import cli
+
+F = Fraction
 
 
 def run(capsys, *argv):
@@ -69,6 +72,49 @@ def test_psi_map(capsys):
     data = json.loads(out)
     assert data["x"] == ["3"] and data["y"] == ["1"]
     assert data["stratum"] == {"K": [], "J": [1]}
+
+
+def test_psi_map_empty_J(capsys):
+    """J = () takes the empty coordinate list: its one point is the
+    identity, with every Delta_i = 1 and every q_i = 0."""
+    code, out, _ = run(capsys, "psi", "map", "--type", "A2", "--J", "",
+                       "--coords", "")
+    assert code == 0
+    assert out.splitlines() == ["psi = [1, 1 ; 0, 0]",
+                                "stratum (K, J) = ([], [])"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "eval", "--type", "A2", "--word", "x1(1e999999999)"],
+    ["psi", "map", "--type", "A2", "--J", "1", "--coords", "1e-999999999"],
+    ["toric", "canon", "--type", "A2", "--point", "1,1;1E999999999,1"],
+    ["polytope", "build", "--type", "A2", "--lambda", "1,1e999999999"],
+])
+def test_huge_decimal_exponent_usage_error(argv):
+    """A literal whose decimal exponent exceeds the interpreter's integer
+    string limit exits 2 with one line at once; Fraction alone would build
+    10**999999999 first.  The subprocess's timeout fails a hang here."""
+    src = os.path.dirname(os.path.dirname(petersonlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "petersonlab.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "exponent" in proc.stderr
+
+
+def test_large_decimal_exponents_stay_valid(capsys):
+    """Exponents within the limit still parse exactly, in a word as in a
+    coordinate list."""
+    texts = ("1e400", "1e-400", "3000001e-326")
+    want = (F(10) ** 400, F(10) ** -400, F(3000001, 10 ** 326))
+    assert cli._parse_fractions(",".join(texts)) == want
+    for text, value in zip(texts, want):
+        code, out, _ = run(capsys, "group", "eval", "--type", "A1",
+                           "--word", "x1(%s)" % text, "--module", "1",
+                           "--json")
+        assert code == 0
+        assert json.loads(out)["matrix"][0][1] == str(value)
 
 
 def test_polytope_build_off_and_json(tmp_path, capsys):

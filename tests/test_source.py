@@ -168,3 +168,69 @@ def test_workspace_is_the_one_module_level_cache():
                             and where != "grouprep.workspace"):
                         found.append(where)
     assert not found, "module-level caches in src: " + ", ".join(found)
+
+
+# Functions that src defines and does not call, each for a reason
+UNCALLED_IN_SRC = {
+    "grouprep.GroupElement.row_apply": "perfbench/tracing.py wraps it",
+    "grouprep.tnn_membership_typeA": "perfbench/tracing.py wraps it",
+    "verify._default_types": "perfbench reads each suite's types with it",
+    "peterson.peterson_membership": "lemma53 is to check it (ROADMAP items "
+                                    "6 and 11)",
+    "rootdata.WeylElement.act_on_root": "the Weyl action on roots, read "
+                                        "by the rootdata and acceptance "
+                                        "tests",
+}
+
+
+def _uncalled_functions():
+    """Qualified names of the functions and methods in src that nothing in
+    src refers to.  A function outside a class body is referred to by its
+    bare name in its own module, by `module.name` elsewhere, or by an
+    import of the name; a method, by any `.name` attribute."""
+    trees = {}
+    for name in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, name)) as fh:
+            trees[name[:-3]] = ast.parse(fh.read(), filename=name)
+    attrs, qualified, imported = set(), set(), set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    qualified.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(a.name for a in node.names)
+    found = []
+    for module, tree in trees.items():
+        names = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)}
+        methods = {id(f): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for f in cls.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = func.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if id(func) in methods:
+                where = "%s.%s.%s" % (module, methods[id(func)], name)
+                used = name in attrs or name in names
+            else:
+                where = "%s.%s" % (module, name)
+                used = (name in names or (module, name) in qualified
+                        or name in imported)
+            if not used:
+                found.append(where)
+    return found
+
+
+def test_no_unused_functions():
+    """Every function or method defined in src has a caller in src,
+    apart from dunders and the reasoned names of UNCALLED_IN_SRC."""
+    found = _uncalled_functions()
+    stale = sorted(set(UNCALLED_IN_SRC) - set(found))
+    assert not stale, "called now, drop from the allowlist: %s" % stale
+    extra = sorted(set(found) - set(UNCALLED_IN_SRC))
+    assert not extra, "functions with no caller in src: " + ", ".join(extra)
