@@ -507,6 +507,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
+        if "integer string conversion" in str(exc):
+            # the interpreter's advice names a setting the CLI does not offer
+            exc = ("a number has more than %d digits, the most this command "
+                   "reads or prints" % sys.get_int_max_str_digits())
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -12,7 +12,8 @@ with t exact rational.  Evaluation is lazy per module and favors
 vector application over full matrix products.  Evaluation runs in
 integers: a vector is carried as integer numerators over one common
 denominator through the whole word (Rep.apply_word), and each action
-matrix as integer rows over one denominator.
+matrix as integer rows over one denominator; each exp step visits only
+the nonempty rows of its generator.
 """
 
 from dataclasses import dataclass
@@ -37,26 +38,60 @@ def _int_rows(rows):
     return tuple(tuple((c, next(values)) for c, _ in row) for row in rows), den
 
 
-def _int_exp_apply(rows, den_m, t, nums, den):
-    """exp(t M) applied to nums / den, for nilpotent M = rows / den_m.
+def _nonempty(rows):
+    """The indices of the nonempty rows of a sparse matrix."""
+    return tuple(r for r, row in enumerate(rows) if row)
 
-    With t = p/q the k-th term is T_k = p (rows . T_{k-1}) over
-    den * prod_{j<=k} (den_m q j); the running sum is rescaled to each new
-    denominator, and the result is reduced by one gcd."""
-    p, q = t.numerator, t.denominator
-    out = term = nums
-    k = 1
+
+def _mat_vec(rows, nonempty, vec):
+    """rows . vec for integer sparse rows, whose nonempty rows are
+    `nonempty`, and an integer vector, as {row: value} of its nonzero
+    entries: only the nonempty rows are visited."""
+    out = {}
+    for r in nonempty:
+        s = 0
+        for c, v in rows[r]:
+            x = vec[c]
+            if x:
+                s += v * x
+        if s:
+            out[r] = s
+    return out
+
+
+def _int_exp_apply(rows, den_m, nonempty, t, nums, den):
+    """exp(t M) applied to nums / den, for nilpotent M = rows / den_m
+    whose nonempty rows are `nonempty`.
+
+    With t = p/q the k-th term is p^k M^k nums over den * D_k, where D_k
+    = prod_{j<=k} (den_m q j).  Each M^k nums is kept sparse, on the
+    nonempty rows.  Over den * D_K the sum is nums * D_K plus each term
+    times D_K / D_k, added at the term's rows only; it is reduced by one
+    gcd."""
+    terms, vec = [], nums
     while True:
-        term = [p * sum([v * term[c] for c, v in row]) if row else 0
-                for row in rows]
-        if not any(term):
+        term = _mat_vec(rows, nonempty, vec)
+        if not term:
             break
-        step = den_m * q * k
-        out = [a * step + b for a, b in zip(out, term)]
-        den *= step
-        k += 1
-        if k > len(nums) + 2:
+        terms.append(term)
+        if len(terms) > len(nums) + 1:
             raise AssertionError("generator is not nilpotent")
+        vec = [0] * len(nums)
+        for r, v in term.items():
+            vec[r] = v
+    out = nums
+    if terms:
+        p, q = t.numerator, t.denominator
+        scales = [1]    # D_0, ..., D_K
+        for k in range(1, len(terms) + 1):
+            scales.append(scales[-1] * den_m * q * k)
+        total = scales[-1]
+        out = [v * total for v in nums]
+        for k, term in enumerate(terms, 1):
+            c = p ** k * (total // scales[k])
+            for r, v in term.items():
+                out[r] += c * v
+        den *= total
     g = gcd(den, *out)
     if g > 1:
         out = [a // g for a in out]
@@ -78,7 +113,8 @@ class Rep:
         self.module = module
         self.chev = chev
         self.dim = module.dimension
-        self._int_cache = {}      # Chevalley label -> integer rows
+        # Chevalley label -> (integer rows, R, indices of the nonempty rows)
+        self._int_cache = {}
 
     def apply_word(self, word, vecs):
         """The word's matrix applied to each column vector of vecs.
@@ -91,29 +127,34 @@ class Rep:
         out = []
         for vec in vecs:
             nums, den = linalg.integer_row(vec)
-            for rows, den_m, t in steps:
-                nums, den = _int_exp_apply(rows, den_m, t, nums, den)
+            for step in steps:
+                nums, den = _int_exp_apply(*step, nums, den)
             out.append([Fraction(v, den) if v else ZERO for v in nums])
         return out
 
     def _int_steps(self, token):
-        """(integer rows, denominator, t) of each exp(t M) in a token."""
+        """(integer rows, denominator, nonempty rows, t) of each exp(t M)
+        in a token."""
         kind = token[0]
         simple = self.chev.simple_index
         if kind in _KIND:
-            return [self._int_label((_KIND[kind], simple[token[1]]))
+            return [self._int_matrix((_KIND[kind], simple[token[1]]))
                     + (token[2],)]
         if kind in _S_STEPS:
-            return [self._int_label((k, simple[token[1]])) + (t,)
+            return [self._int_matrix((k, simple[token[1]])) + (t,)
                     for k, t in _S_STEPS[kind]]
         if kind == 'exp':
             return [self._int_element(token[1]) + (ONE,)]
         raise ValueError("unknown token %r" % (token,))
 
     def _int_label(self, label):
-        """(integer rows, R) of a Chevalley label's action, rows / R: a
-        simple label's from the module, any other label's as the sparse
-        commutator of its defining pair."""
+        """(integer rows, R) of a Chevalley label's action, rows / R."""
+        return self._int_matrix(label)[:2]
+
+    def _int_matrix(self, label):
+        """(integer rows, R, nonempty rows) of a Chevalley label's action,
+        built once: a simple label's from the module, any other label's as
+        the sparse commutator of its defining pair."""
         if label not in self._int_cache:
             kind, idx = label
             simple = self.chev.simple_index
@@ -128,18 +169,20 @@ class Rep:
                 b, db = self._int_label((kind, bidx))
                 rows = liealg.commutator(a, b, Fraction(
                     fsign if kind == 'f' else 1, div * da * db))
-            self._int_cache[label] = _int_rows(rows)
+            rows, den = _int_rows(rows)
+            self._int_cache[label] = rows, den, _nonempty(rows)
         return self._int_cache[label]
 
     def _int_element(self, elem):
         """Sparse matrix of a Lie element given as ((label, coeff), ...),
-        as (integer rows, denominator)."""
+        as (integer rows, denominator, nonempty rows)."""
         parts = [(Fraction(coeff), self._int_label(label))
                  for label, coeff in elem]
         den = lcm(*(c.denominator * d for c, (_, d) in parts))
-        return (liealg.combination(
+        rows = liealg.combination(
             [(c.numerator * (den // (c.denominator * d)), rows)
-             for c, (rows, d) in parts], self.dim), den)
+             for c, (rows, d) in parts], self.dim)
+        return rows, den, _nonempty(rows)
 
     def unit(self, k):
         v = [ZERO] * self.dim
@@ -216,9 +259,9 @@ def exp_element(elem):
 
 
 class Workspace:
-    """Lazily built registry of the reps, longest elements, centralizer
-    bases, minor and matrix polynomials and float Newton terms of one root
-    datum, in one keyed store."""
+    """Lazily built registry of the reps, longest elements, extremal
+    vectors, centralizer bases, minor and matrix polynomials and float
+    Newton terms of one root datum, in one keyed store."""
 
     def __init__(self, datum):
         self.datum = datum
@@ -268,6 +311,17 @@ class Workspace:
         return self._once(('longest', J),
                           lambda: rootdata.longest_element(self.datum, J))
 
+    def extremal_vector(self, lam, J):
+        """wdot(w_J) v_lam on the rep of V(lam), v_lam its highest-weight
+        vector, as a shared tuple, built once per (lam, J)."""
+        lam = tuple(int(v) for v in lam)
+        J = tuple(sorted(set(J)))
+
+        def build():
+            rep = self.rep(lam)
+            return tuple(wdot(self.longest(J)).apply(rep, rep.unit(0)))
+        return self._once(('extremal', lam, J), build)
+
     def centralizer(self, J):
         """centralizer_basis(self, J), built once per J and shared: callers
         must not modify it."""
@@ -284,7 +338,7 @@ class Workspace:
         def build():
             polys = []
             for rep in map(self.fundamental_rep, range(self.datum.n)):
-                u = wdot(self.longest(J)).apply(rep, rep.unit(0))
+                u = self.extremal_vector(rep.module.highest_weight, J)
                 polys += _exp_series(self, J, rep, *linalg.integer_row(u),
                                      rows=(0,))
             return IntegerPolynomials(polys)
@@ -340,12 +394,12 @@ def _exp_series(ws, J, rep, u, den, rows=None):
             for poly, r in zip(polys, rows):
                 if vec[r]:      # each e has one degree m
                     poly[e] = Fraction(vec[r], den * prod(
-                        d ** x for (_, d), x in zip(mats, e)))
-            for k, (mat, _) in enumerate(mats):
-                key = e[:k] + (e[k] + 1,) + e[k + 1:]
-                acc = nxt.get(key, [0] * rep.dim)
-                nxt[key] = [a + sum(v * vec[c] for c, v in row)
-                            for a, row in zip(acc, mat)]
+                        d ** x for (_, d, _), x in zip(mats, e)))
+            for k, (mat, _, nonempty) in enumerate(mats):
+                acc = nxt.setdefault(e[:k] + (e[k] + 1,) + e[k + 1:],
+                                     [0] * rep.dim)
+                for r, v in _mat_vec(mat, nonempty, vec).items():
+                    acc[r] += v
         term = {e: vec for e, vec in nxt.items() if any(vec)}
         den *= m
     return polys
@@ -394,7 +448,7 @@ def delta_adjoint_type(i, g, ws):
     """<g v, wdot(w0) v> under the Shapovalov form on V_{m_i w_i}."""
     rep = ws.power_rep(i)
     v = g.apply(rep, rep.unit(0))
-    low = wdot(ws.w0()).apply(rep, rep.unit(0))
+    low = ws.extremal_vector(rep.module.highest_weight, range(ws.datum.n))
     gram = rep.module.gram
     return sum(v[a] * sum(gram[a][b] * low[b] for b in range(rep.dim)
                           if low[b])

@@ -103,6 +103,21 @@ def test_huge_decimal_exponent_usage_error(argv):
     assert proc.stderr.count("\n") == 1 and "exponent" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("psi", "map", "--type", "A2", "--J", "1", "--coords", "1e4300"),
+    ("polytope", "build", "--type", "A2", "--lambda", "1,1e4300"),
+])
+def test_result_over_the_digit_limit_usage_error(capsys, argv):
+    """A valid input whose result has more digits than the interpreter
+    prints exits 2 with one line that names the limit, not the advice to
+    change an interpreter setting."""
+    code, out, err = run(capsys, *argv)
+    limit = sys.get_int_max_str_digits()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and str(limit) in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_large_decimal_exponents_stay_valid(capsys):
     """Exponents within the limit still parse exactly, in a word as in a
     coordinate list."""

@@ -269,28 +269,57 @@ def _dense_token(rep, token):
         return linalg.mat_mul(linalg.mat_mul(y, x), y)
     m = [[F(0)] * rep.dim for _ in range(rep.dim)]
     for label, c in token[1]:
-        rows, den = rep._int_label(label)
-        m = [[x + c * y / den for x, y in zip(rm, rl)] for rm, rl in
-             zip(m, mod.sparse_to_dense(rows))]
+        m = [[x + c * y for x, y in zip(rm, rl)]
+             for rm, rl in zip(m, _dense_label(rep, label))]
     return _dense_exp(m, F(1))
+
+
+def _dense_label(rep, label):
+    """A Chevalley label's dense matrix on rep from the module's simple
+    generators alone: a root label as (sign / div) [X_i, X_beta] over the
+    defining pair (i, beta, div, sign) of the Chevalley basis."""
+    kind, idx = label
+    simple = rep.chev.simple_index
+    if idx in simple:
+        dense = rep.module.e_dense if kind == 'e' else rep.module.f_dense
+        return dense(simple.index(idx))
+    i, bidx, div, fsign = rep.chev.defpair[idx]
+    a = _dense_label(rep, (kind, simple[i]))
+    b = _dense_label(rep, (kind, bidx))
+    scale = F(fsign if kind == 'f' else 1, div)
+    return [[scale * (x - y) for x, y in zip(rab, rba)]
+            for rab, rba in zip(linalg.mat_mul(a, b), linalg.mat_mul(b, a))]
 
 
 _params = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def _words(draw, n, nroots):
+def _words(draw, ws):
+    """Words of x, y, s, si and exp tokens with rational parameters; an exp
+    token is of a random e- or f-label combination or of a centralizer
+    element sum c_k b_k."""
+    n, nroots = ws.datum.n, len(ws.datum.positive_roots)
     word = []
     for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(('x', 'y', 's', 'si', 'exp')))
+        kind = draw(st.sampled_from(('x', 'y', 's', 'si', 'exp', 'exp')))
         if kind in ('x', 'y'):
             word.append((kind, draw(st.integers(0, n - 1)),
                          draw(st.one_of(st.just(F(0)), _params))))
         elif kind in ('s', 'si'):
             word.append((kind, draw(st.integers(0, n - 1))))
-        else:
+        elif draw(st.booleans()):
+            sign = draw(st.sampled_from(('e', 'f')))
             labels = draw(st.sets(st.integers(0, nroots - 1), max_size=3))
-            elem = {('e', idx): draw(_params) for idx in labels}
+            word += grouprep.exp_element(
+                {(sign, idx): draw(_params) for idx in labels}).word
+        else:
+            J = draw(st.sets(st.integers(0, n - 1), min_size=1))
+            elem = {}
+            for b in ws.centralizer(J):
+                c = draw(_params)
+                for label, v in b.items():
+                    elem[label] = elem.get(label, 0) + c * v
             word += grouprep.exp_element(elem).word
     return grouprep.GroupElement(tuple(word))
 
@@ -302,7 +331,7 @@ def test_kernel_matches_dense_fraction_product(data):
     ws = grouprep.workspace(datum)
     rep = data.draw(st.sampled_from(
         [ws.fundamental_rep(i) for i in range(datum.n)] + [ws.adjoint_rep()]))
-    g = data.draw(_words(datum.n, len(datum.positive_roots)))
+    g = data.draw(_words(ws))
     want = linalg.identity(rep.dim)
     for token in g.word:
         want = linalg.mat_mul(want, _dense_token(rep, token))
@@ -311,6 +340,80 @@ def test_kernel_matches_dense_fraction_product(data):
     assert g.apply(rep, vec) == linalg.mat_vec(want, vec)
     assert g.row_apply(rep, vec) == linalg.mat_vec(linalg.transpose(want),
                                                    vec)
+
+
+def _catalog_reps():
+    """(type, rep kind, node) for each fundamental rep and the adjoint rep
+    of every catalog type, and a power rep on A1, A2 and B2."""
+    out = []
+    for name, cartan in rootdata.CATALOG.items():
+        out += [(name, "fundamental", i) for i in range(len(cartan))]
+        out.append((name, "adjoint", None))
+    return out + [(name, "power", 0) for name in ("A1", "A2", "B2")]
+
+
+def _catalog_rep(name, kind, i):
+    ws = grouprep.workspace(rootdata.datum_from_name(name))
+    if kind == "adjoint":
+        return ws, ws.adjoint_rep()
+    if kind == "power":
+        return ws, ws.power_rep(i)
+    return ws, ws.fundamental_rep(i)
+
+
+@pytest.mark.parametrize("name,kind,i", _catalog_reps())
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_an_independent_dense_reference(name, kind, i, data):
+    """GroupElement.matrix on every catalog rep equals the dense Fraction
+    product of its tokens, each built from the module's e_dense and f_dense
+    only."""
+    ws, rep = _catalog_rep(name, kind, i)
+    g = data.draw(_words(ws))
+    want = linalg.identity(rep.dim)
+    for token in g.word:
+        want = linalg.mat_mul(want, _dense_token(rep, token))
+    assert g.matrix(rep) == want
+
+
+@pytest.mark.parametrize("name", list(rootdata.CATALOG))
+def test_kernel_refuses_a_non_nilpotent_generator(name):
+    """exp(e_i + f_i) is no finite series: the kernel raises rather than
+    truncate it, on the fundamental and the adjoint reps."""
+    ws = grouprep.workspace(rootdata.datum_from_name(name))
+    for i in range(ws.datum.n):
+        idx = ws.chev.simple_index[i]
+        g = grouprep.exp_element({('e', idx): 1, ('f', idx): 1})
+        for rep in (ws.fundamental_rep(i), ws.adjoint_rep()):
+            with pytest.raises(AssertionError, match="not nilpotent"):
+                g.matrix(rep)
+
+
+def test_extremal_vector_is_applied_once(monkeypatch):
+    """wdot(w_J) v_lam is a Workspace entry: two delta_adjoint_type calls
+    apply wdot(w_0) once, and on B2, whose first power rep is its first
+    fundamental rep, the minor polynomials of the full J read the same
+    entry."""
+    words = []
+    apply_word = grouprep.Rep.apply_word
+
+    def counted(rep, word, vecs):
+        words.append(word)
+        return apply_word(rep, word, vecs)
+    monkeypatch.setattr(grouprep.Rep, "apply_word", counted)
+    ws = _ws("B2")
+    w0 = grouprep.wdot(ws.w0()).word
+    g = grouprep.x_(0, F(1, 2)) * grouprep.y_(1, F(3))
+    first = grouprep.delta_adjoint_type(0, g, ws)
+    assert grouprep.delta_adjoint_type(0, g, ws) == first
+    assert words.count(w0) == 1
+    low = ws.extremal_vector((1, 0), (0, 1))
+    assert ws.extremal_vector([1, 0], (1, 0)) is low
+    assert low == tuple(grouprep.wdot(ws.w0()).apply(
+        ws.fundamental_rep(0), ws.fundamental_rep(0).unit(0)))
+    words.clear()
+    ws.minor_polynomials((0, 1))
+    assert words.count(w0) == 1     # V(w_2) only; V(w_1)'s is stored
 
 
 def test_q_vector_matches_q_coefficient():

@@ -102,6 +102,31 @@ def test_exact_layers_have_no_float_literals():
     assert not found, "float literals in exact layers: " + ", ".join(found)
 
 
+INTEGER_KERNEL = ("_int_exp_apply", "_mat_vec")
+
+
+def test_integer_kernel_names_no_fraction():
+    """The group-element kernel runs in integers: its functions name
+    neither Fraction nor a module-level Fraction constant of grouprep."""
+    from fractions import Fraction
+    from petersonlab import grouprep
+    path = os.path.join(SRC, "grouprep.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    assert set(INTEGER_KERNEL) <= set(funcs)
+    found = []
+    for name in INTEGER_KERNEL:
+        for node in ast.walk(funcs[name]):
+            ident = getattr(node, "id", getattr(node, "attr", None))
+            value = getattr(grouprep, ident, None) if ident else None
+            if ident == "Fraction" or value is Fraction or isinstance(
+                    value, Fraction):
+                found.append("%s:%d %s" % (name, node.lineno, ident))
+    assert not found, "Fraction in the integer kernel: " + ", ".join(found)
+
+
 def test_no_module_imports_numpy_or_scipy():
     """Every layer, the hull oracle included, runs on the standard
     library: no module in src imports numpy or scipy."""
