@@ -67,31 +67,35 @@ def _int_exp_apply(rows, den_m, nonempty, t, nums, den):
     = prod_{j<=k} (den_m q j).  Each M^k nums is kept sparse, on the
     nonempty rows.  Over den * D_K the sum is nums * D_K plus each term
     times D_K / D_k, added at the term's rows only; it is reduced by one
-    gcd."""
-    terms, vec = [], nums
-    while True:
-        term = _mat_vec(rows, nonempty, vec)
-        if not term:
-            break
+    gcd.
+
+    A step that fixes the vector (M nums = 0) returns nums and den as they
+    are, with no gcd: Rep.apply_word holds every vector in lowest terms,
+    since linalg.integer_row gives lowest terms and every other step ends
+    with this gcd."""
+    term = _mat_vec(rows, nonempty, nums)
+    if not term:
+        return nums, den
+    terms = []
+    while term:
         terms.append(term)
         if len(terms) > len(nums) + 1:
             raise AssertionError("generator is not nilpotent")
         vec = [0] * len(nums)
         for r, v in term.items():
             vec[r] = v
-    out = nums
-    if terms:
-        p, q = t.numerator, t.denominator
-        scales = [1]    # D_0, ..., D_K
-        for k in range(1, len(terms) + 1):
-            scales.append(scales[-1] * den_m * q * k)
-        total = scales[-1]
-        out = [v * total for v in nums]
-        for k, term in enumerate(terms, 1):
-            c = p ** k * (total // scales[k])
-            for r, v in term.items():
-                out[r] += c * v
-        den *= total
+        term = _mat_vec(rows, nonempty, vec)
+    p, q = t.numerator, t.denominator
+    scales = [1]    # D_0, ..., D_K
+    for k in range(1, len(terms) + 1):
+        scales.append(scales[-1] * den_m * q * k)
+    total = scales[-1]
+    out = [v * total for v in nums]
+    for k, term in enumerate(terms, 1):
+        c = p ** k * (total // scales[k])
+        for r, v in term.items():
+            out[r] += c * v
+    den *= total
     g = gcd(den, *out)
     if g > 1:
         out = [a // g for a in out]
@@ -260,8 +264,9 @@ def exp_element(elem):
 
 class Workspace:
     """Lazily built registry of the reps, longest elements, extremal
-    vectors, centralizer bases, minor and matrix polynomials and float
-    Newton terms of one root datum, in one keyed store."""
+    vectors, centralizer bases, Dynkin components, minor and matrix
+    polynomials, minor plans and float Newton terms of one root datum, in
+    one keyed store.  `peterson` keeps its Newton grid values there too."""
 
     def __init__(self, datum):
         self.datum = datum
@@ -329,6 +334,13 @@ class Workspace:
         return self._once(('centralizer', J),
                           lambda: centralizer_basis(self, J))
 
+    def components(self, J):
+        """rootdata.dynkin_components(datum, J) as tuples, built once per
+        J."""
+        J = tuple(sorted(set(J)))
+        return self._once(('components', J), lambda: tuple(
+            map(tuple, rootdata.dynkin_components(self.datum, J))))
+
     def minor_polynomials(self, J):
         """Delta_i(exp(sum c_k b_k) wdot(w_J)) for each node i, as shared
         IntegerPolynomials in the c_k, built once per J: the
@@ -357,6 +369,21 @@ class Workspace:
                     for c in range(rep.dim)]
             return IntegerPolynomials([f for row in zip(*cols) for f in row])
         return self._once(('matrix', J, i), build)
+
+    def minor_plan(self, J, i):
+        """grouprep.minor_plan of the unitriangular matrix_polynomials(J,
+        i), built once per (J, i): an entry with no term is 0, and one
+        whose only term is the constant den is 1."""
+        J = tuple(sorted(set(J)))
+
+        def build():
+            ip = self.matrix_polynomials(J, i)
+            one = tuple((j, ip.den) for j, (e, _) in enumerate(ip.monomials)
+                        if not any(e))
+            return minor_plan([0 if not f else 1 if f == one else None
+                               for f in ip.terms],
+                              self.fundamental_rep(i).dim)
+        return self._once(('plan', J, i), build)
 
     def newton_terms(self, J):
         """(values, gradients): each minor polynomial of J, and each of
@@ -501,33 +528,75 @@ def tnn_sample(w, params=None, rng=None):
 
 def tnn_membership_typeA(mat, tol=Fraction(0)):
     """True iff every minor of the upper unitriangular mat is at least
-    -tol: tnn_membership_integer on mat over one common denominator."""
+    -tol: tnn_membership_integer on mat over one common denominator, with
+    the minor plan of mat's own 0 and 1 entries."""
     nums, den = linalg.integer_row([v for row in mat for v in row])
     return tnn_membership_integer(nums, den, len(mat), tol)
 
 
-def tnn_membership_integer(nums, den, n, tol=0):
-    """True iff every minor of the upper unitriangular n x n matrix
-    nums / den (row by row) is at least -tol = -tn/td, decided in
-    integers: each k x k minor m of nums, expanded along its first row,
-    must have m * td >= -tn * den^k."""
+def minor_plan(fixed, n):
+    """The minors of an upper unitriangular n x n matrix that can differ
+    from 0 and 1, given which entries are fixed: fixed[n r + c] is 0 or 1,
+    or None where entry (r, c) varies.
+
+    In order of size, each minor is (rows, cols, terms), its terms the
+    (sign, entry, sub) of its first-row expansion whose entry and
+    (k-1)-minor can be nonzero, sub the index in the plan of that minor,
+    or None where it is 1.  A minor with no such term is 0, and one whose
+    only term is +1 * 1 is 1; both are left out.  Raises ValueError unless
+    the fixed entries make the matrix upper unitriangular."""
     for i in range(n):
-        if nums[n * i + i] != den:
+        if fixed[n * i + i] != 1:
             raise ValueError("matrix is not unitriangular")
-        if any(nums[n * i:n * i + i]):
+        if any(v != 0 for v in fixed[n * i:n * i + i]):
             raise ValueError("matrix is not upper triangular")
-    tn, td = tol.as_integer_ratio()
-    minors = {((), ()): 1}
+    constant = {((), ()): 1}    # the minors left out, 0 or 1
+    index, plan = {}, []
     for k in range(1, n + 1):
-        bound, prev, minors = -tn * den ** k, minors, {}
         for rows in itertools.combinations(range(n), k):
-            top, sub = nums[n * rows[0]:], rows[1:]  # top[c] = den mat[r][c]
             for cols in itertools.combinations(range(n), k):
-                m = sum((-1) ** j * top[c] * prev[sub, cols[:j] + cols[j + 1:]]
-                        for j, c in enumerate(cols) if top[c])
-                if m * td < bound:
-                    return False
-                minors[rows, cols] = m
+                terms = []
+                for j, c in enumerate(cols):
+                    e, sub = n * rows[0] + c, (rows[1:],
+                                               cols[:j] + cols[j + 1:])
+                    if fixed[e] != 0 and constant.get(sub) != 0:
+                        terms.append(((-1) ** j, e, index.get(sub)))
+                if not terms:
+                    constant[rows, cols] = 0
+                elif [(sign, fixed[e], sub) for sign, e, sub in terms] \
+                        == [(1, 1, None)]:
+                    constant[rows, cols] = 1
+                else:
+                    index[rows, cols] = len(plan)
+                    plan.append((rows, cols, tuple(terms)))
+    return tuple(plan)
+
+
+def tnn_membership_integer(nums, den, n, tol=0, plan=None):
+    """True iff every minor of the upper unitriangular n x n matrix
+    nums / den (row by row) is at least -tol = -tn/td, tol >= 0, decided
+    in integers: each k x k minor m of nums in `plan`, expanded along its
+    first row, must have m * td >= -tn * den^k.  The minors the plan
+    leaves out are 0 or 1.  The default plan is minor_plan of the
+    matrix's own 0 and 1 entries; a given plan must be one of a pattern
+    that nums / den matches."""
+    if plan is None:
+        plan = minor_plan([0 if v == 0 else 1 if v == den else None
+                           for v in nums], n)
+    tn, td = tol.as_integer_ratio()
+    dens = [1]      # den^0, ..., den^n
+    for _ in range(n):
+        dens.append(dens[-1] * den)
+    minors = []
+    for rows, _, terms in plan:
+        k = len(rows)
+        m = 0
+        for sign, e, sub in terms:
+            m += sign * nums[e] * (dens[k - 1] if sub is None
+                                   else minors[sub])
+        if m * td < -tn * dens[k]:
+            return False
+        minors.append(m)
     return True
 
 

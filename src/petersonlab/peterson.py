@@ -5,7 +5,7 @@ of the minor map, read off the polynomials of `ws.minor_polynomials(J)`
 and certified in integers.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 import itertools
 import math
@@ -160,6 +160,8 @@ def sample_points(ws, J, count, seed=0, tnn_only=False):
 
 INVERSION_TOL = 1e-9      # accepted residual per unit of the largest target
 NEWTON_STEPS = 60         # Newton iterations per start
+NEWTON_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0)  # grid coordinates
+GRID_STARTS = 8           # grid points tried, those nearest the target
 RANDOM_STARTS = 12        # random starts after the grid starts
 
 
@@ -190,17 +192,49 @@ def _newton_solve(a, b):
     return [row[n] for row in m]
 
 
+def _value(f, c):
+    """The (exponents, float coefficient) terms f of `ws.newton_terms` at
+    the point c, summed left to right from 0.0: sum() compensates on
+    3.12+."""
+    acc = 0.0
+    for exps, coeff in f:
+        acc += math.prod(map(pow, c, exps), start=coeff)
+    return acc
+
+
+def _grid_values(ws, J):
+    """Each point of the grid NEWTON_GRID^|J| with its float minor values,
+    a Workspace entry built once per J: ranking the grid against a target
+    is then one subtraction per minor."""
+    def build():
+        terms = ws.newton_terms(J)[0]
+        return [(s, [_value(f, s) for f in terms])
+                for s in itertools.product(NEWTON_GRID, repeat=len(J))]
+    return ws._once(('grid', J), build)
+
+
+def _random_starts(seed, n):
+    """RANDOM_STARTS points of [0, 10]^n from random.Random(seed), each
+    drawn only when it is tried."""
+    rng = random.Random(seed)
+    for _ in range(RANDOM_STARTS):
+        yield [rng.uniform(0, 10) for _ in range(n)]
+
+
 def invert_theorem59(ws, target, seed=0, grid_starts=True):
-    """The certified totally nonnegative preimage of the target minors: a
-    Peterson point whose minors match the targets and whose unipotent part
-    passes the exact type-A minor test, both decided by certify_theorem59.
-    Its centralizer coordinates may be negative.
+    """The certified totally nonnegative preimage of the target minors,
+    with its Certificate: a Peterson point whose minors match the targets
+    and whose unipotent part passes the exact type-A minor test, both
+    decided by certify_theorem59.  Its centralizer coordinates may be
+    negative.  The certificate also records the starts tried and the
+    Newton steps of the accepted one.
 
     Implemented for J whose Dynkin components are of type A1 or A2, where
     that test applies.  Newton's method on the minor polynomials of all of
-    J, from the 8 best points of a nonnegative grid, then from random
-    starts.  The stop and accept residuals are INVERSION_TOL * 1e-2 and
-    INVERSION_TOL, each times max(1, largest target)."""
+    J, from the GRID_STARTS grid points whose stored minor values lie
+    nearest the target, then from the random starts.  The stop and accept
+    residuals are INVERSION_TOL * 1e-2 and INVERSION_TOL, each times
+    max(1, largest target)."""
     datum = ws.datum
     J = tuple(range(datum.n))
     target = [float(t) for t in target]
@@ -208,9 +242,8 @@ def invert_theorem59(ws, target, seed=0, grid_starts=True):
         raise ValueError("need one target per index in J")
     if not all(0 <= t < math.inf for t in target):
         raise ValueError("targets must be finite and nonnegative")
-    comps = rootdata.dynkin_components(datum, J)
     if any(len(c) > 2 or any(datum.pairing[i][j] < -1 for i in c for j in c)
-           for c in comps):
+           for c in ws.components(J)):
         raise NotImplementedError("inversion implemented for components "
                                   "of type A1 and A2 only")
 
@@ -219,44 +252,38 @@ def invert_theorem59(ws, target, seed=0, grid_starts=True):
     tol = INVERSION_TOL * max([1.0] + target)
     terms, grads = ws.newton_terms(J)
 
-    def value(f, c):    # plain left to right: sum() compensates on 3.12+
-        acc = 0.0
-        for exps, coeff in f:
-            acc += math.prod(map(pow, c, exps), start=coeff)
-        return acc
-
-    def residual(c):
-        return [value(f, c) - t for f, t in zip(terms, target)]
-
     def newton(c):
+        """(root, Newton steps taken) from the start c, or None."""
         try:
-            for _ in range(NEWTON_STEPS):
-                r = residual(c)
+            for steps in range(NEWTON_STEPS):
+                r = [_value(f, c) - t for f, t in zip(terms, target)]
                 if all(abs(v) < tol * 1e-2 for v in r):  # False on nan
-                    return c
-                jac = [[value(d, c) for d in row] for row in grads]
+                    return c, steps
+                jac = [[_value(d, c) for d in row] for row in grads]
                 step = _newton_solve(jac, r)
                 c = [a - b for a, b in zip(c, step)]
         except (ValueError, OverflowError):  # singular Jacobian, divergence
             pass
         return None
 
-    grid = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0] if grid_starts else []
-    starts = sorted(itertools.product(grid, repeat=len(J)),
-                    key=lambda s: max(map(abs, residual(s))))[:8]
-    rng = random.Random(seed)
-    for start in starts + [[rng.uniform(0, 10) for _ in J]
-                           for _ in range(RANDOM_STARTS)]:
-        coords = newton(start)
-        if coords is None:
+    grid = []
+    if grid_starts:
+        grid = sorted(_grid_values(ws, J), key=lambda sv: max(
+            abs(v - t) for v, t in zip(sv[1], target)))[:GRID_STARTS]
+    starts = itertools.chain((s for s, _ in grid),
+                             _random_starts(seed, len(J)))
+    for tried, start in enumerate(starts, 1):
+        root = newton(start)
+        if root is None:
             continue
+        coords, steps = root
         p = make_point(ws, J, coords)
         cert = certify_theorem59(ws, p, target)
         if cert.tnn:
             if cert.residual >= tol:
                 raise InversionError("Newton inversion residual %.3e >= %.1e"
                                      % (cert.residual, tol))
-            return p
+            return p, replace(cert, starts=tried, steps=steps)
     raise InversionError("no convergent Newton start for targets %r"
                          % (target,))
 
@@ -269,6 +296,8 @@ class Certificate:
     den: int
     tnn: bool          # the type-A minor test passes on every component
     residual: float    # max |Delta_i - target_i|
+    starts: int = 0    # from invert_theorem59: the starts it tried
+    steps: int = 0     # from invert_theorem59: the accepted start's steps
 
 
 def certify_theorem59(ws, p, target):
@@ -278,14 +307,15 @@ def certify_theorem59(ws, p, target):
     With the coordinates as integers nums over one denominator q, the
     integer forms `ws.minor_polynomials` and `ws.matrix_polynomials` give
     the fundamental minors and the matrix of the unipotent part on the
-    fundamental module of each component's first node as numerators.  The matrix
-    passes `grouprep.tnn_membership_integer` at INVERSION_TOL, and the
-    residual is one correctly rounded integer division per minor."""
+    fundamental module of each component's first node as numerators.  The
+    matrix passes `grouprep.tnn_membership_integer` at INVERSION_TOL on
+    the minors of `ws.minor_plan`, and the residual is one correctly
+    rounded integer division per minor."""
     nums, q = linalg.integer_row(p.coords)
     minors, den = ws.minor_polynomials(p.J).evaluate(nums, q)
     tnn = all(grouprep.tnn_membership_integer(
-        *ws.matrix_polynomials(p.J, comp[0]).evaluate(nums, q),
-        ws.fundamental_rep(comp[0]).dim, tol=INVERSION_TOL)
-        for comp in rootdata.dynkin_components(ws.datum, p.J))
+        *ws.matrix_polynomials(p.J, c[0]).evaluate(nums, q),
+        ws.fundamental_rep(c[0]).dim, INVERSION_TOL,
+        ws.minor_plan(p.J, c[0])) for c in ws.components(p.J))
     resid = max(abs(m / den - t) for m, t in zip(minors, target))
     return Certificate(tuple(minors), den, tnn, resid)

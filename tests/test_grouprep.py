@@ -1,5 +1,6 @@
 from fractions import Fraction
 import itertools
+from math import gcd
 import random
 
 import pytest
@@ -189,6 +190,64 @@ def test_tnn_membership_integer_checks_the_diagonal_over_den():
         grouprep.tnn_membership_integer([2, 1, 0, 3], 2, 2)
     with pytest.raises(ValueError, match="upper triangular"):
         grouprep.tnn_membership_integer([2, 0, 1, 2], 2, 2)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A1xA1", "A2xA1"])
+def test_minor_plan_leaves_out_only_constant_minors(name):
+    """For every J and node i, each minor of the unipotent part's matrix
+    on fundamental_rep(i) that ws.minor_plan(J, i) leaves out is exactly
+    0 or 1: at random rationals, and on the grid {-2, 0, 1/2, 2}^|J|,
+    which holds zero coordinates and the A2 points (2, +-2) where Delta_1
+    or Delta_2 vanishes."""
+    ws = _ws(name)
+    n = ws.datum.n
+    rng = random.Random(3)
+    for J in rootdata.subsets(range(n)):
+        points = list(itertools.product([F(-2), F(0), F(1, 2), F(2)],
+                                        repeat=len(J)))
+        points += [[F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in J]
+                   for _ in range(6)]
+        for i in range(n):
+            dim = ws.fundamental_rep(i).dim
+            plan = ws.minor_plan(J, i)
+            tested = {(rows, cols) for rows, cols, _ in plan}
+            left_out = [(rows, cols) for k in range(1, dim + 1)
+                        for rows in itertools.combinations(range(dim), k)
+                        for cols in itertools.combinations(range(dim), k)
+                        if (rows, cols) not in tested]
+            for coords in points:
+                vals, den = ws.matrix_polynomials(J, i).evaluate(
+                    *linalg.integer_row(coords))
+                mat = [[F(vals[dim * r + c], den) for c in range(dim)]
+                       for r in range(dim)]
+                for rows, cols in left_out:
+                    m = linalg.det([[mat[r][c] for c in cols] for r in rows])
+                    assert m in (0, 1), (J, i, coords, rows, cols, m)
+    if name == "A2":    # 6 of the 19 minors of the 3 x 3 matrix
+        assert len(ws.minor_plan((0, 1), 0)) == 6
+
+
+def test_apply_word_holds_every_vector_in_lowest_terms(monkeypatch):
+    """The kernel returns a vector that its step fixes as it is, with no
+    gcd.  That is exact because every vector that apply_word holds is in
+    lowest terms: checked after each step of words that fix some vectors
+    and move others."""
+    seen = []
+    kernel = grouprep._int_exp_apply
+
+    def recorded(*args):
+        out = kernel(*args)
+        seen.append((out[0] is args[-2], gcd(out[1], *out[0])))
+        return out
+    monkeypatch.setattr(grouprep, "_int_exp_apply", recorded)
+    ws = _ws("B2")
+    g = (grouprep.x_(0, F(3, 4)) * grouprep.y_(1, F(5, 2))
+         * grouprep.sdot(0) * grouprep.x_(1, F(-7, 3)))
+    for rep in (ws.fundamental_rep(0), ws.fundamental_rep(1),
+                ws.adjoint_rep()):
+        g.matrix(rep)
+    assert {fixed for fixed, _ in seen} == {True, False}
+    assert all(d == 1 for _, d in seen)
 
 
 def test_tnn_sample_parabolic_stays_tnn_in_type_a():

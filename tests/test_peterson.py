@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 import hashlib
 import os
@@ -9,6 +10,8 @@ import textwrap
 import pytest
 
 from petersonlab import grouprep, linalg, peterson, rootdata, toric, verify
+
+from test_grouprep import tnn_membership_reference
 
 F = Fraction
 
@@ -148,15 +151,15 @@ def test_split_components_rejects_bad_partition():
 
 def test_invert_a1_is_identity():
     ws = _ws("A1")
-    p = peterson.invert_theorem59(ws, [F(5)])
+    p, _ = peterson.invert_theorem59(ws, [F(5)])
     assert p.coords == (F(5),)
-    p = peterson.invert_theorem59(ws, [F(0)])
+    p, _ = peterson.invert_theorem59(ws, [F(0)])
     assert p.coords == (F(0),)
 
 
 def test_invert_a2_interior_target():
     ws = _ws("A2")
-    p = peterson.invert_theorem59(ws, [2.5, 1.5])
+    p, _ = peterson.invert_theorem59(ws, [2.5, 1.5])
     got = [float(v) for v in peterson.deltas(ws, p)]
     assert max(abs(g - t) for g, t in zip(got, (2.5, 1.5))) < 1e-9
     x = peterson.unipotent_part(ws, p)
@@ -210,7 +213,7 @@ def test_invert_large_targets(target):
     """The Newton tolerances scale with the largest target: near 1e6 the
     float spacing of a minor is about 1e-10, above an absolute 1e-11."""
     ws = _ws("A2")
-    p = peterson.invert_theorem59(ws, target)
+    p, _ = peterson.invert_theorem59(ws, target)
     got = [float(v) for v in peterson.deltas(ws, p)]
     assert max(abs(g - t) for g, t in zip(got, target)) < 1e-9 * 1e6
 
@@ -240,7 +243,7 @@ def test_invert_reducible_targets(name, target):
     """Each component's solution lands on the coordinates of the
     centralizer basis elements supported on it."""
     ws = _ws(name)
-    p = peterson.invert_theorem59(ws, target)
+    p, _ = peterson.invert_theorem59(ws, target)
     got = [float(v) for v in peterson.deltas(ws, p)]
     assert max(abs(g - t) for g, t in zip(got, target)) < 1e-9
 
@@ -259,8 +262,8 @@ def test_newton_iterates_are_pinned():
     digest = hashlib.sha256()
     for k in range(100):
         target = [rng.uniform(0, 10), rng.uniform(0, 10)]
-        p = peterson.invert_theorem59(ws, target, seed=k,
-                                      grid_starts=k % 2 == 0)
+        p, _ = peterson.invert_theorem59(ws, target, seed=k,
+                                         grid_starts=k % 2 == 0)
         digest.update((" ".join(float(c).hex() for c in p.coords)
                        + "\n").encode())
     assert digest.hexdigest() == NEWTON_ITERATES_SHA256
@@ -269,9 +272,10 @@ def test_newton_iterates_are_pinned():
 def _certificate_reference(ws, p, target):
     """(minor test, minors, residual) of p through the Fraction kernel:
     the unipotent part's matrix on each component's first fundamental
-    module, and the minors of the token word, independent of the
-    polynomials that the certificate and `deltas` evaluate."""
-    tnn = all(grouprep.tnn_membership_typeA(
+    module, judged one `linalg.det` per minor, and the minors of the token
+    word, independent of the polynomials and the minor plan that the
+    certificate and `deltas` use."""
+    tnn = all(tnn_membership_reference(
         peterson.unipotent_part(ws, p).matrix(ws.fundamental_rep(comp[0])),
         tol=1e-9) for comp in rootdata.dynkin_components(ws.datum, p.J))
     g = peterson.element(ws, p)
@@ -315,6 +319,60 @@ def test_certificate_matches_the_fraction_reference(name):
             assert tnn is edge[j], coords
         verdicts.add(tnn)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("target, grid_starts, starts, steps", [
+    ((2.5, 1.5), True, 1, 0),
+    ((2.5, 1.5), False, 1, 6),
+    ((1e-9, 1e-9), True, 2, 15),
+])
+def test_inversion_certificate_records_starts_and_steps(
+        target, grid_starts, starts, steps):
+    """invert_theorem59 returns the certificate of its root, with the
+    starts it tried and the Newton steps of the accepted one.  On A2 the
+    grid point (2, 1/2) is the exact preimage of (2.5, 1.5), so the first
+    grid start takes no step; the first random start of seed 0 takes 6.
+    At (1e-9, 1e-9) the best grid start does not converge."""
+    ws = _ws("A2")
+    p, cert = peterson.invert_theorem59(ws, target, grid_starts=grid_starts)
+    assert (cert.starts, cert.steps) == (starts, steps)
+    assert cert.tnn and cert.residual < 1e-9
+    assert cert == dataclasses.replace(
+        peterson.certify_theorem59(ws, p, target), starts=starts,
+        steps=steps)
+
+
+def test_theorem59_certifies_once_and_draws_only_tried_starts(monkeypatch):
+    """The theorem59 suite on A2 reads the certificate that each inversion
+    returns, so it certifies once per inversion (each accepts its first
+    converged start).  Random starts are drawn as they are tried: the
+    random.uniform draws are |J| = 2 per random start tried, counted off
+    the returned certificates."""
+    tried, certified, draws = [], [], []
+    invert = peterson.invert_theorem59
+    certify = peterson.certify_theorem59
+    uniform = random.Random.uniform
+
+    def counted_invert(ws, target, seed=0, grid_starts=True):
+        p, cert = invert(ws, target, seed, grid_starts)
+        grid = peterson.GRID_STARTS if grid_starts else 0
+        tried.append(max(0, cert.starts - grid))
+        return p, cert
+
+    def counted_certify(*args):
+        certified.append(args)
+        return certify(*args)
+
+    def counted_uniform(rng, a, b):
+        draws.append((a, b))
+        return uniform(rng, a, b)
+    monkeypatch.setattr(peterson, "invert_theorem59", counted_invert)
+    monkeypatch.setattr(peterson, "certify_theorem59", counted_certify)
+    monkeypatch.setattr(random.Random, "uniform", counted_uniform)
+    rep = verify.run_suite("theorem59", "A2", 0, None)
+    assert rep.cases == 300 and not rep.failures
+    assert len(certified) == len(tried) == 1100
+    assert len(draws) == 2 * sum(tried) > 0
 
 
 @pytest.mark.parametrize("name", ["A2", "A2xA1"])

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from petersonlab import verify
+from petersonlab import grouprep, rootdata, verify
 
 
 def test_unknown_suite_and_type():
@@ -129,3 +129,26 @@ def test_small_unit_reports_are_pinned():
         text = json.dumps(rep.to_dict(), sort_keys=True)
         got[suite, typ] = hashlib.sha256(text.encode()).hexdigest()
     assert got == pinned
+
+
+def test_prop44_applies_only_the_sample(monkeypatch):
+    """prop44 reads wdot(w_J) v_i from the Workspace entry
+    extremal_vector and applies only the sample x_{i_1}(a_1)...
+    x_{i_m}(a_m) to it: once those entries are built, each sample applies
+    one word per fundamental rep, and no word holds an s token."""
+    ws = grouprep.workspace(rootdata.datum_from_name("A2"))
+    for J in rootdata.subsets(range(2)):
+        for i in range(2):
+            ws.extremal_vector(ws.fundamental_rep(i).module.highest_weight,
+                               J)
+    words = []
+    apply_word = grouprep.Rep.apply_word
+
+    def counted(rep, word, vecs):
+        words.append(word)
+        return apply_word(rep, word, vecs)
+    monkeypatch.setattr(grouprep.Rep, "apply_word", counted)
+    cases = list(verify.suite_prop44("A2", 8, 0))   # 2 samples per J
+    assert len(cases) == 8 and all(case[0] for case in cases)
+    assert len(words) == 8 * 2
+    assert not [tok for word in words for tok in word if tok[0] != 'x']
