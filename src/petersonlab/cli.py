@@ -343,12 +343,14 @@ def cmd_toric_moment(args):
     poly, _ = _built_polytope(args)
     p = _parse_cox_point(args.point, poly.datum.n)
     data = toric.moment_data(poly)
-    mu = toric.moment_map(p, data)
+    # each coordinate as the correctly rounded quotient of two integers,
+    # with no gcd of the large sums
+    sums, den = toric.moment_sums(p, data)
     out = {
         "type": args.type,
         "lambda": [_render(v) for v in poly.lam],
         "dilate": data.dilate,
-        "moment": ["%.12f" % v for v in mu],
+        "moment": ["%.12f" % (v / den) for v in sums],
     }
     if args.json:
         sys.stdout.write(_dumps(out))

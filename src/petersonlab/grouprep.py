@@ -23,7 +23,7 @@ import itertools
 from math import gcd, lcm, prod
 import random
 
-from . import linalg, liealg, rootdata
+from . import linalg, liealg, polytope, rootdata
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -265,8 +265,9 @@ def exp_element(elem):
 class Workspace:
     """Lazily built registry of the reps, longest elements, extremal
     vectors, centralizer bases, Dynkin components, minor and matrix
-    polynomials, minor plans and float Newton terms of one root datum, in
-    one keyed store.  `peterson` keeps its Newton grid values there too."""
+    polynomials, minor plans, float Newton terms and weight polytopes of
+    one root datum, in one keyed store.  `peterson` keeps its Newton grid
+    values there too."""
 
     def __init__(self, datum):
         self.datum = datum
@@ -340,6 +341,14 @@ class Workspace:
         J = tuple(sorted(set(J)))
         return self._once(('components', J), lambda: tuple(
             map(tuple, rootdata.dynkin_components(self.datum, J))))
+
+    def polytope(self, lam):
+        """polytope.build_polytope(datum, lam), the pair (P^lam, its face
+        lattice), built once per lam and shared: callers must not modify
+        it."""
+        lam = tuple(Fraction(v) for v in lam)
+        return self._once(('polytope', lam),
+                          lambda: polytope.build_polytope(self.datum, lam))
 
     def minor_polynomials(self, J):
         """Delta_i(exp(sum c_k b_k) wdot(w_J)) for each node i, as shared

@@ -96,10 +96,6 @@ class Face:
 class FaceLattice:
     faces: dict          # (K, J) -> Face
 
-    def leq(self, a, b):
-        """Face containment via vertex sets."""
-        return set(self.faces[a].vertex_js) <= set(self.faces[b].vertex_js)
-
 
 def vertices(datum, lam):
     """The 2^n vertices of P^lambda, J -> the point on the walls of J and
@@ -183,9 +179,12 @@ def cube_check(lattice):
     iso = {label: to_cube(label) for label in labels}
     if len(set(iso.values())) != len(labels):
         return False, iso
+    # face containment is containment of vertex sets
+    verts = {label: frozenset(lattice.faces[label].vertex_js)
+             for label in labels}
     for a in labels:
         for b in labels:
-            if lattice.leq(a, b) != cube_leq(iso[a], iso[b]):
+            if (verts[a] <= verts[b]) != cube_leq(iso[a], iso[b]):
                 return False, iso
     return True, iso
 

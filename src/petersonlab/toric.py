@@ -1,22 +1,26 @@
 """Nonnegative Cox-coordinate model of the toric variety of the fan:
 strata by zero pattern, canonical forms under the positive torus,
-equivalence, and the lattice-point moment map onto the weight polytope.
+equivalence, and the moment map on the vertices of the weight polytope.
 
 Everything is exact.  A Cox coordinate is a rational (an int, a Fraction
 or a float, each read exactly).  The torus rescaling that canonicalizes a
 point gives the irrational free coordinates x_j e^{u_j}, but their D-th
 powers are rational, D the lcm of the denominators of the inverse Cartan
 submatrix C_J^{-1} (Cox, J. Algebraic Geom. 4, 1995): a canonical form
-holds those powers, so equal orbits have equal forms.  The moment map is
-a ratio of integer character sums, so its image is a tuple of Fractions
-(Fulton, Introduction to Toric Varieties, 1993, sec. 4.2).
+holds those powers, so equal orbits have equal forms.  The moment map
+averages the 2^n vertices of the dilated polytope, weighted by their
+characters.  The vertices are enough: any finite set of lattice points
+with convex hull P gives a moment map onto P that respects faces
+(Sottile, Contemp. Math. 334, 2003).  It is a ratio of integer character
+sums, so its image is a tuple of Fractions (Fulton, Introduction to Toric
+Varieties, 1993, sec. 4.2); an exponent over EXPONENT_CAP is refused
+before any power is taken.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-import itertools
 import math
-from operator import getitem, mul
+from operator import mul
 
 from . import linalg
 
@@ -94,52 +98,72 @@ def equivalent(cp, cq):
 # ---------------------------------------------------------------------------
 # Moment map
 
+# The largest exponent moment_data admits.  A character's cost grows with
+# its exponents, and lambda = (1, 1e300) would give exponents near 10^300.
+EXPONENT_CAP = 10 ** 4
+
 
 @dataclass(frozen=True)
 class MomentData:
     dilate: int            # N with N * P^lambda a lattice polytope
-    points: tuple          # per lattice point: x exponents, then y exponents
+    points: tuple          # per vertex of N P^lambda: x, then y exponents
     top: tuple             # per Cox coordinate: its largest exponent
 
 
 def moment_data(poly):
-    """The lattice points of N * P^lambda, with N read off the simple-root
-    coordinates that build_polytope solved for each vertex.  The point
-    sum_i k_i alpha_i has x exponents its fundamental-weight coordinates,
-    which are also the weight the moment map averages, and y exponents
-    N lambda - k in simple-root coordinates: one tuple of 2n exponents."""
-    pairing = poly.datum.pairing
+    """The 2^n vertices of N * P^lambda as exponent tuples, N the least
+    dilate that makes the simple-root coordinates build_polytope solved
+    for each vertex integers.  The vertex N v has x exponents N v, its
+    fundamental-weight coordinates and the weight the moment map
+    averages, and y exponents N (lambda - v) in simple-root coordinates.
+
+    The vertices are enough.  For any finite set A of lattice points
+    whose convex hull is P, and any positive weights, the algebraic moment
+    map p -> sum_a chi_a(p) a / sum_a chi_a(p) is a homeomorphism from the
+    nonnegative part of X_A onto P that sends each torus orbit onto the
+    relative interior of its face (Sottile, Contemp. Math. 334, 2003;
+    Fulton, Introduction to Toric Varieties, 1993, sec. 4.2).
+
+    Raises ValueError where an exponent is over EXPONENT_CAP."""
     _, N = linalg.integer_row([a for v in poly.vertex_alpha.values()
                                for a in v])
-    c = [int(N * a) for a in poly.cap_values]
-    # k_i times row i of the pairing, for each k_i in range
-    rows = [[tuple(k * a for a in pairing[i]) for k in range(m + 1)]
-            for i, m in enumerate(c)]
-    pts = []
-    for k in itertools.product(*(range(m + 1) for m in c)):
-        xexp = tuple(map(sum, zip(*map(getitem, rows, k))))
-        if min(xexp) >= 0:
-            pts.append(xexp + tuple(m - ki for m, ki in zip(c, k)))
-    return MomentData(dilate=N, points=tuple(pts),
-                      top=tuple(map(max, zip(*pts))))
+    pts = sorted(tuple(int(N * c) for c in v)
+                 + tuple(int(N * (m - a)) for m, a in zip(poly.cap_values,
+                                                          alpha))
+                 for v, alpha in poly.vertex_alpha.items())
+    top = tuple(map(max, zip(*pts)))
+    if max(top) > EXPONENT_CAP:
+        raise ValueError("the moment map on N P^lambda (N = %d) needs an "
+                         "exponent over the cap %d" % (N, EXPONENT_CAP))
+    return MomentData(dilate=N, points=tuple(pts), top=top)
 
 
-def moment_map(p, data):
-    """The lattice-point average sum_m chi_m(p) m / (N sum_m chi_m(p)) of
-    `data = moment_data(poly)`, exactly, as Fractions on P^lambda.
+def moment_sums(p, data):
+    """(sums, den): the weighted character sums sum_v chi_v(p) v of
+    `data = moment_data(poly)` as integers over the one denominator
+    den = N sum_v chi_v(p), so that the moment image is sums / den.
 
     A coordinate num/den with largest exponent t enters a character with
-    exponent e as the integer num^e den^(t-e), read from a table of
-    powers: every character is then an integer over the one denominator
-    prod den^t, which cancels in the average."""
+    exponent e as the integer num^e den^(t-e), taken only for the
+    exponents that occur: every character is then an integer over the one
+    denominator prod den^t, which cancels in the average."""
+    cols = list(zip(*data.points))
     tables = []
-    for v, t in zip(p.x + p.y, data.top):
+    for v, t, col in zip(p.x + p.y, data.top, cols):
         num, den = v.as_integer_ratio()
-        tables.append([num ** e * den ** (t - e) for e in range(t + 1)])
-    chis = [math.prod(map(getitem, tables, e)) for e in data.points]
+        tables.append({e: num ** e * den ** (t - e) for e in set(col)})
+    chis = [math.prod(tab[e] for tab, e in zip(tables, pt))
+            for pt in data.points]
     total = sum(chis)
     if not total:
         raise AssertionError("character sum vanished")
-    weights = list(zip(*data.points))[:len(p.x)]
-    return tuple(Fraction(sum(map(mul, chis, w)), total * data.dilate)
-                 for w in weights)
+    # the x exponents are the weights
+    return (tuple(sum(map(mul, chis, w)) for w in cols[:len(p.x)]),
+            total * data.dilate)
+
+
+def moment_map(p, data):
+    """The vertex average of moment_sums, exactly, as Fractions on
+    P^lambda."""
+    sums, den = moment_sums(p, data)
+    return tuple(Fraction(s, den) for s in sums)

@@ -164,12 +164,13 @@ def _random_regular_lambdas(datum, count, seed):
 
 
 def suite_cube(type_name, samples, seed):
-    datum = rootdata.datum_from_name(type_name)
+    ws = _ws(type_name)
+    datum = ws.datum
     n = datum.n
     lams = [tuple(Fraction(1) for _ in range(n))]
     lams += _random_regular_lambdas(datum, 5, seed)
     for lam in lams:
-        poly, lattice = polytope.build_polytope(datum, lam)
+        poly, lattice = ws.polytope(lam)
         tag = "%s lambda=%s" % (type_name, lam)
         yield (len(lattice.faces) == 3 ** n, tag + " face count",
                3 ** n, len(lattice.faces))
@@ -188,10 +189,10 @@ def suite_cube(type_name, samples, seed):
 
 
 def suite_normalfan(type_name, samples, seed):
-    datum = rootdata.datum_from_name(type_name)
+    ws = _ws(type_name)
+    datum = ws.datum
     n = datum.n
-    poly, lattice = polytope.build_polytope(
-        datum, tuple(Fraction(1) for _ in range(n)))
+    poly, lattice = ws.polytope(tuple(Fraction(1) for _ in range(n)))
     nfan = polytope.normal_fan(poly, lattice)
     fan = polytope.build_fan(datum)
     for (K, J), cone in sorted(nfan.cones.items()):
@@ -328,21 +329,24 @@ def suite_theorem59(type_name, samples, seed):
 
 
 def suite_moment_cells(type_name, samples, seed):
-    datum = rootdata.datum_from_name(type_name)
+    ws = _ws(type_name)
+    datum = ws.datum
     n = datum.n
     lam = tuple(Fraction(1) for _ in range(n))
-    poly, _ = polytope.build_polytope(datum, lam)
+    poly, _ = ws.polytope(lam)
     data = toric.moment_data(poly)
     # alpha = mu C^{-1} is compared with the caps in integers: C^{-1} and
-    # the caps over one common denominator L, each mu over its own
+    # the caps over one common denominator L, each mu over the one
+    # denominator moment_sums gives it
     flat, _ = linalg.integer_row([v for row in datum.pairing_inverse
                                   for v in row] + list(poly.cap_values))
     pinv = [flat[j * n:(j + 1) * n] for j in range(n)]
     caps = flat[n * n:]
     rng = random.Random(seed)
 
-    def face_of(mu):
-        num, d = linalg.integer_row(mu)
+    def face_of(num, d):
+        """The face of mu = num / d, and whether mu is in its relative
+        interior."""
         alpha = [sum(num[j] * pinv[j][i] for j in range(n))
                  for i in range(n)]
         K = tuple(i for i in range(n) if num[i] == 0)
@@ -358,8 +362,7 @@ def suite_moment_cells(type_name, samples, seed):
         x = [0.0 if i in K else rng.uniform(0.3, 3.0) for i in range(n)]
         y = [rng.uniform(0.3, 3.0) if i in J else 0.0 for i in range(n)]
         p = toric.cox_point(x, y)
-        mu = toric.moment_map(p, data)
-        got, strict = face_of(mu)
+        got, strict = face_of(*toric.moment_sums(p, data))
         yield (got == (K, J) and strict,
                "%s stratum (%s,%s) x=%s y=%s" % (type_name, K, J, x, y),
                ((K, J), True), (got, strict))

@@ -195,6 +195,16 @@ def test_toric_moment_extreme_coordinate(capsys):
     assert json.loads(out)["moment"] == ["1.500000000000", "0.000000000000"]
 
 
+def test_toric_moment_huge_lambda_usage_error(capsys):
+    """lambda = (1, 1e300) needs character exponents near 10^300: exit 2
+    with one line naming the cap, not a run without end."""
+    code, out, err = run(capsys, "toric", "moment", "--type", "A2",
+                         "--lambda", "1,1e300", "--point", "1,1;1,1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "cap %d" % cli.toric.EXPONENT_CAP in err
+
+
 def test_toric_canon_extreme_coordinates(capsys):
     """Rescaling y_2 = 1e300 by x_1 = 1e300 passes 1e600: the torus action
     is exact, so x_2 = 1e300 * 1e-300 = 1 comes out exactly where a float

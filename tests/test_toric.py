@@ -191,3 +191,92 @@ def test_moment_map_coordinates_below_the_float_range():
     tiny = toric.cox_point((F(1, 10 ** 400),), (F(1, 10 ** 800),))
     one = toric.cox_point((1,), (1,))
     assert toric.moment_map(tiny, data) == toric.moment_map(one, data)
+
+
+def _vertex_average(p, data):
+    """sum_v chi_v(p) v / (N sum_v chi_v(p)) over the points of data, in
+    Fractions, as the definition reads."""
+    n = len(p.x)
+    coords = [F(v) for v in p.x + p.y]
+    chis = [math.prod(c ** e for c, e in zip(coords, pt))
+            for pt in data.points]
+    total = sum(chis)
+    return tuple(sum(chi * pt[i] for chi, pt in zip(chis, data.points))
+                 / (data.dilate * total) for i in range(n))
+
+
+@pytest.mark.parametrize("name", list(rootdata.CATALOG))
+def test_moment_data_points_are_the_dilated_vertices(name):
+    """At rho and at a non-rho lambda, the points are the 2^n vertices N v
+    of N P^lambda, each as its fundamental-weight coordinates N v and then
+    N (lambda - v) in simple-root coordinates, N the least dilate that
+    makes every vertex's simple-root coordinates integers."""
+    datum = _datum(name)
+    n = datum.n
+    for lam in ((F(1),) * n, tuple(F(k + 2, 3) for k in range(n))):
+        poly, _ = polytope.build_polytope(datum, lam)
+        data = toric.moment_data(poly)
+        lam_alpha = datum.weight_to_root_coords(lam)
+        alphas = {v: datum.weight_to_root_coords(v)
+                  for v in poly.vertices.values()}
+        N = math.lcm(*(a.denominator for al in alphas.values() for a in al))
+        want = sorted(tuple(N * c for c in v)
+                      + tuple(N * (m - a) for m, a in zip(lam_alpha, al))
+                      for v, al in alphas.items())
+        assert data.dilate == N
+        assert len(data.points) == 2 ** n
+        assert list(data.points) == want
+        assert all(type(e) is int for pt in data.points for e in pt)
+
+
+def test_moment_data_has_only_the_vertices_at_a_large_lambda():
+    """On A2 at lambda = (3, 1000), N = 6, the box around the lattice
+    points of N P^lambda holds 2013 x 4007 points; the moment data holds
+    the 4 vertices, the largest exponent 6 * 1001.5 that of the vertex
+    (0, 1001.5)."""
+    poly, _ = polytope.build_polytope(_datum("A2"), (F(3), F(1000)))
+    data = toric.moment_data(poly)
+    assert data.dilate == 6 and len(data.points) == 4
+    assert max(data.top) == 6009 <= toric.EXPONENT_CAP
+
+
+def test_moment_data_refuses_exponents_over_the_cap():
+    poly, _ = polytope.build_polytope(_datum("A2"), (F(1), F(10 ** 300)))
+    with pytest.raises(ValueError, match="cap %d" % toric.EXPONENT_CAP):
+        toric.moment_data(poly)
+
+
+def test_moment_map_is_the_sums_over_their_denominator():
+    """moment_map is moment_sums over its one denominator, and both are
+    the vertex average as the definition reads it, on every stratum
+    pattern of random points."""
+    rng = random.Random(2)
+    for name in ("A2", "B3", "G2", "A2xA1"):
+        datum = _datum(name)
+        n = datum.n
+        poly, _ = polytope.build_polytope(datum, (F(1),) * n)
+        data = toric.moment_data(poly)
+        for _ in range(6):
+            x = [rng.choice([0, F(rng.randint(1, 9), rng.randint(1, 9))])
+                 for _ in range(n)]
+            y = [F(rng.randint(1, 9), 4) if xi == 0 or rng.random() < 0.5
+                 else 0 for xi in x]
+            p = toric.cox_point(x, y)
+            sums, den = toric.moment_sums(p, data)
+            mu = toric.moment_map(p, data)
+            assert mu == tuple(F(s, den) for s in sums)
+            assert mu == _vertex_average(p, data)
+
+
+def test_moment_map_respects_torus_action_b3():
+    datum = _datum("B3")
+    poly, _ = polytope.build_polytope(datum, (F(1),) * 3)
+    data = toric.moment_data(poly)
+    rng = random.Random(7)
+    for _ in range(5):
+        p = toric.cox_point([F(rng.randint(1, 30), 10) for _ in range(3)],
+                            [F(rng.randint(1, 30), 10) for _ in range(3)])
+        z = [F(rng.randint(5, 20), 10) for _ in range(3)]
+        q = torus_scale(datum, p, z)
+        assert q != p
+        assert toric.moment_map(p, data) == toric.moment_map(q, data)

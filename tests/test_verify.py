@@ -1,9 +1,11 @@
+from fractions import Fraction
+import functools
 import hashlib
 import json
 
 import pytest
 
-from petersonlab import grouprep, rootdata, verify
+from petersonlab import grouprep, polytope, rootdata, verify
 
 
 def test_unknown_suite_and_type():
@@ -152,3 +154,25 @@ def test_prop44_applies_only_the_sample(monkeypatch):
     assert len(cases) == 8 and all(case[0] for case in cases)
     assert len(words) == 8 * 2
     assert not [tok for word in words for tok in word if tok[0] != 'x']
+
+
+def test_verify_all_builds_each_polytope_once(monkeypatch):
+    """cube, normalfan and moment-cells read P^lambda from the Workspace:
+    `verify all --type A2` builds it once per distinct lambda, on a fresh
+    Workspace cache."""
+    monkeypatch.setattr(grouprep, "workspace",
+                        functools.lru_cache(maxsize=32)(grouprep.Workspace))
+    lams = []
+    build = polytope.build_polytope
+
+    def counted(datum, lam):
+        lams.append(tuple(lam))
+        return build(datum, lam)
+    monkeypatch.setattr(polytope, "build_polytope", counted)
+    rep = verify.run_suite("all", "A2", seed=0, samples=1)
+    assert rep.failures == []
+    rho = (Fraction(1), Fraction(1))
+    want = {rho} | set(verify._random_regular_lambdas(
+        rootdata.datum_from_name("A2"), 5, 0))
+    assert len(lams) == len(set(lams))
+    assert set(lams) == want
