@@ -264,7 +264,7 @@ def exp_element(elem):
 
 class Workspace:
     """Lazily built registry of the reps, longest elements, extremal
-    vectors, centralizer bases, Dynkin components, minor and matrix
+    vectors, centralizer bases, Dynkin components, minor, q and matrix
     polynomials, minor plans, float Newton terms and weight polytopes of
     one root datum, in one keyed store.  `peterson` keeps its Newton grid
     values there too."""
@@ -394,6 +394,47 @@ class Workspace:
                               self.fundamental_rep(i).dim)
         return self._once(('plan', J, i), build)
 
+    def q_polynomials(self, J):
+        """q_i(exp(X) wdot(w_J)) for each node i, X = sum c_k b_k, as shared
+        IntegerPolynomials in the c_k, built once per J.
+
+        q_i(g) is minus the f_i coordinate of Ad_{g^{-1}}(e) =
+        wdot(w_J)^{-1} exp(-X) e on the adjoint rep.  wdot(w_J) maps root
+        spaces to root spaces: it sends the unit vector of f_i to s_i times
+        that of c_i, the label of the root -w_J alpha_i, with s_i = +-1.
+        So row f_i of wdot(w_J)^{-1} is 1/s_i at column c_i alone, and q_i
+        is -1/s_i times slot c_i of the exp series from u = e, its
+        odd-degree terms negated (exp(-X)).  Raises ValueError where
+        wdot(w_J) does not send f_i to +-c_i."""
+        J = tuple(sorted(set(J)))
+
+        def build():
+            rep = self.adjoint_rep()
+            labels = rep.module.labels
+            w = self.longest(J)
+            images = rep.apply_word(wdot(w).word, [
+                rep.unit(labels.index(('f', idx)))
+                for idx in self.chev.simple_index])
+            slots, signs = [], []
+            for i, image in enumerate(images):
+                root = tuple(-v for v in w.act_on_root(
+                    [int(j == i) for j in range(self.datum.n)]))
+                label = ('e', self.chev.root_index[root]) \
+                    if root in self.chev.root_index else \
+                    ('f', self.chev.root_index[tuple(-v for v in root)])
+                slot = labels.index(label)
+                if image[slot] not in (1, -1) or sum(map(bool, image)) != 1:
+                    raise ValueError("wdot(w_J) does not send f_%d to +-%s"
+                                     % (i + 1, label))
+                slots.append(slot)
+                signs.append(image[slot])
+            series = _exp_series(self, J, rep, *linalg.integer_row(
+                regular_nilpotent_vector(self)), rows=slots)
+            return IntegerPolynomials([
+                {e: (-1) ** sum(e) * a / -s for e, a in f.items()}
+                for f, s in zip(series, signs)])
+        return self._once(('q', J), build)
+
     def newton_terms(self, J):
         """(values, gradients): each minor polynomial of J, and each of
         its partial derivatives, as (exponents, float coefficient) terms in
@@ -504,14 +545,6 @@ def ad_conjugate_e(g, ws):
     """Ad_{g^{-1}}(e) as a vector in the labeled adjoint module."""
     rep = ws.adjoint_rep()
     return g.inverse().apply(rep, regular_nilpotent_vector(ws))
-
-
-def q_vector(g, ws):
-    """(q_1(g), ..., q_n(g)) from one ad-conjugation."""
-    vec = ad_conjugate_e(g, ws)
-    labels = ws.adjoint_rep().module.labels
-    return tuple(-vec[labels.index(('f', idx))]
-                 for idx in ws.chev.simple_index)
 
 
 @dataclass(frozen=True)

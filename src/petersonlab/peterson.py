@@ -1,8 +1,9 @@
 """Peterson-variety points in normal form x * wdot(w_J), stratum
 classification by vanishing minors, the map Psi into Cox coordinates,
 component splitting for reducible data, and low-rank Newton inversion
-of the minor map, read off the polynomials of `ws.minor_polynomials(J)`
-and certified in integers.
+of the minor map.  The minors and q-coefficients of a point are read off
+the integer forms `ws.minor_polynomials(J)` and `ws.q_polynomials(J)`,
+and the inversion is certified in integers.
 """
 
 from dataclasses import dataclass, replace
@@ -57,11 +58,21 @@ def peterson_membership(g, ws):
     return True
 
 
+def _values(polys, p):
+    """The integer forms polys at p's coordinates, as Fractions: one
+    integer evaluation over one denominator."""
+    nums, den = polys.evaluate(*linalg.integer_row(p.coords))
+    return tuple(Fraction(m, den) for m in nums)
+
+
 def deltas(ws, p):
     """All fundamental minors of the normal-form element, exact."""
-    nums, den = ws.minor_polynomials(p.J).evaluate(
-        *linalg.integer_row(p.coords))
-    return tuple(Fraction(m, den) for m in nums)
+    return _values(ws.minor_polynomials(p.J), p)
+
+
+def q_values(ws, p):
+    """All q-coefficients of the normal-form element, exact."""
+    return _values(ws.q_polynomials(p.J), p)
 
 
 def classify_stratum(J, minors):
@@ -75,14 +86,19 @@ def classify_stratum(J, minors):
     return (tuple(i for i, v in enumerate(minors) if v == 0), J)
 
 
-def minor_vector(ws, p):
-    """(Delta values, q values) of the normal-form element, unvalidated."""
-    return deltas(ws, p), grouprep.q_vector(element(ws, p), ws)
+def minor_vector(ws, p, minors=None):
+    """(Delta values, q values) of the normal-form element, unvalidated;
+    minors, where given, are its Delta values, as sample_points hands them
+    on."""
+    if minors is None:
+        minors = deltas(ws, p)
+    return minors, q_values(ws, p)
 
 
-def psi(ws, p):
-    """[Delta_1, ..., Delta_n ; q_1, ..., q_n] as a Cox point."""
-    xs, ys = minor_vector(ws, p)
+def psi(ws, p, minors=None):
+    """[Delta_1, ..., Delta_n ; q_1, ..., q_n] as a Cox point; minors as
+    for minor_vector."""
+    xs, ys = minor_vector(ws, p, minors)
     return toric.cox_point(xs, ys)
 
 
@@ -135,7 +151,8 @@ def sample_points(ws, J, count, seed=0, tnn_only=False):
     """Deterministic nonnegative-coordinate samples of the J-centralizer.
 
     With tnn_only, rejection-sample until all fundamental minors of the
-    normal-form element are nonnegative.
+    normal-form element are nonnegative, and return (point, minors) pairs,
+    so that a reader of the minors need not evaluate them again.
     """
     rng = random.Random(seed)
     J = tuple(sorted(set(J)))
@@ -148,9 +165,12 @@ def sample_points(ws, J, count, seed=0, tnn_only=False):
             else:
                 coords.append(Fraction(rng.randint(1, 12), rng.randint(1, 6)))
         p = make_point(ws, J, coords)
-        if tnn_only and any(v < 0 for v in deltas(ws, p)):
+        if not tnn_only:
+            out.append(p)
             continue
-        out.append(p)
+        minors = deltas(ws, p)
+        if all(v >= 0 for v in minors):
+            out.append((p, minors))
     return out
 
 

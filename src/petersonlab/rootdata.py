@@ -149,9 +149,8 @@ class WeylElement:
     matrix: tuple   # action on simple-root coordinates, columns = images
 
     def act_on_root(self, root):
-        n = len(self.matrix)
-        return tuple(sum(self.matrix[i][j] * root[j] for j in range(n))
-                     for i in range(n))
+        return tuple(sum(row[j] * r for j, r in enumerate(root) if r)
+                     for row in self.matrix)
 
 
 def _reflection_matrix(datum, i):

@@ -103,8 +103,7 @@ def suite_lemma53(type_name, samples, seed):
     for J in rootdata.subsets(range(ws.datum.n)):
         pts = peterson.sample_points(ws, J, samples, seed=seed)
         for p in pts:
-            g = peterson.element(ws, p)
-            got = grouprep.q_vector(g, ws)
+            got = peterson.q_values(ws, p)
             want = tuple(Fraction(1 if i in J else 0)
                          for i in range(ws.datum.n))
             yield (got == want,
@@ -209,10 +208,10 @@ def suite_psi_strata(type_name, samples, seed):
     per = min(_per_subset(samples, datum.n), 12)
     for J in rootdata.subsets(range(datum.n)):
         pts = peterson.sample_points(ws, J, per, seed=seed, tnn_only=True)
-        pts = list({p.coords: p for p in pts}.values())
+        pts = {p.coords: (p, minors) for p, minors in pts}.values()
         canon = []
-        for p in pts:
-            c = peterson.psi(ws, p)
+        for p, minors in pts:
+            c = peterson.psi(ws, p, minors)
             label = peterson.classify_stratum(p.J, c.x)
             cc = toric.canonicalize(datum, c)
             yield (cc.label == label,
@@ -276,15 +275,13 @@ def suite_prop76(type_name, samples, seed):
                "%s contravariant-form invariance i=%d" % (type_name, i),
                "M^T G M = G", lhs == gram)
         full = tuple(range(datum.n))
-        w0dot = grouprep.wdot(ws.w0())
+        w0inv = grouprep.wdot(ws.w0()).inverse()
         for _ in range(samples):
             coords = [Fraction(rng.randint(0, 9), rng.randint(1, 4))
                       for _ in full]
-            x = peterson.unipotent_part(
-                ws, peterson.make_point(ws, full, coords))
-            fund = grouprep.delta_varpi(i, x * w0dot, ws)
-            power = grouprep.delta_adjoint_type(
-                i, w0dot.inverse() * x * w0dot, ws)
+            g = peterson.element(ws, peterson.make_point(ws, full, coords))
+            fund = grouprep.delta_varpi(i, g, ws)
+            power = grouprep.delta_adjoint_type(i, w0inv * g, ws)
             yield (power == fund ** exps[i],
                    "%s i=%d coords=%s" % (type_name, i, coords),
                    fund ** exps[i], power)

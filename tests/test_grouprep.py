@@ -18,8 +18,8 @@ def _ws(name):
 
 
 def q_coefficient(i, g, ws):
-    """q_i(g) = minus the f_i coefficient of Ad_{g^{-1}}(e): the reference
-    for grouprep.q_vector, one node at a time."""
+    """q_i(g) = minus the f_i coefficient of Ad_{g^{-1}}(e) through the
+    kernel: the reference for `ws.q_polynomials`, one node at a time."""
     labels = ws.adjoint_rep().module.labels
     return -grouprep.ad_conjugate_e(g, ws)[
         labels.index(('f', ws.chev.simple_index[i]))]
@@ -476,17 +476,30 @@ def test_extremal_vector_is_applied_once(monkeypatch):
 
 
 def test_q_vector_matches_q_coefficient():
+    """The q form of each J, evaluated at sampled normal-form points,
+    equals the kernel's ad-conjugation of e, node by node."""
     for name in ("A2", "B2", "G2", "A2xA1"):
         ws = grouprep.workspace(rootdata.datum_from_name(name))
         n = ws.datum.n
-        points = [peterson.element(ws, p)
-                  for J in [(), (0,), tuple(range(n))]
-                  for p in peterson.sample_points(ws, J, 2, seed=5)]
-        points.append(grouprep.x_(0, F(2)) * grouprep.sdot(n - 1)
-                      * grouprep.y_(0, F(-1, 3)))
-        for g in points:
-            assert grouprep.q_vector(g, ws) == tuple(
-                q_coefficient(i, g, ws) for i in range(n))
+        for J in [(), (0,), tuple(range(n))]:
+            for p in peterson.sample_points(ws, J, 2, seed=5):
+                nums, den = ws.q_polynomials(J).evaluate(
+                    *linalg.integer_row(p.coords))
+                g = peterson.element(ws, p)
+                assert [F(m, den) for m in nums] == [
+                    q_coefficient(i, g, ws) for i in range(n)]
+
+
+def test_q_polynomials_refuse_a_wrong_slot(monkeypatch):
+    """Where the Weyl action on roots names a slot that wdot(w_J) does not
+    send f_i to, the q form is refused with a ValueError."""
+    monkeypatch.setattr(rootdata.WeylElement, "act_on_root",
+                        lambda w, root: tuple(root))
+    ws = _ws("A2")
+    # w_J = 1 for J empty, where the identity is the right action
+    assert ws.q_polynomials(()).evaluate([], 1) == ([0, 0], 1)
+    with pytest.raises(ValueError, match="f_1"):
+        ws.q_polynomials((0,))
 
 
 def test_workspace_shared_by_value():

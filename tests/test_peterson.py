@@ -11,7 +11,7 @@ import pytest
 
 from petersonlab import grouprep, linalg, peterson, rootdata, toric, verify
 
-from test_grouprep import tnn_membership_reference
+from test_grouprep import q_coefficient, tnn_membership_reference
 
 F = Fraction
 
@@ -61,6 +61,23 @@ def test_deltas_match_the_kernel_minors_everywhere():
                 want = tuple(grouprep.delta_varpi(i, g, ws)
                              for i in range(ws.datum.n))
                 assert peterson.deltas(ws, p) == want, (name, J, coords)
+
+
+def test_q_forms_match_the_kernel_everywhere():
+    """The q polynomials agree with the kernel's ad-conjugation of e on the
+    whole word, for every catalog type and J, at zero, negative and
+    positive rationals."""
+    for name in rootdata.CATALOG:
+        ws = _ws(name)
+        for J in rootdata.subsets(range(ws.datum.n)):
+            for coords in ([F(0)] * len(J),
+                           [F(-3, 2) + F(k, 3) for k in range(len(J))],
+                           [F(5 - 2 * k, 1 + k) for k in range(len(J))]):
+                p = peterson.make_point(ws, J, coords)
+                g = peterson.element(ws, p)
+                want = tuple(q_coefficient(i, g, ws)
+                             for i in range(ws.datum.n))
+                assert peterson.q_values(ws, p) == want, (name, J, coords)
 
 
 def test_minor_polynomials_closed_form_a2():
@@ -122,8 +139,10 @@ def test_tnn_sampled_strata_match_toric_strata():
     ws = _ws("A2")
     datum = ws.datum
     for J in [(0,), (0, 1)]:
-        for p in peterson.sample_points(ws, J, 6, seed=4, tnn_only=True):
-            c = peterson.psi(ws, p)
+        for p, minors in peterson.sample_points(ws, J, 6, seed=4,
+                                                tnn_only=True):
+            assert minors == peterson.deltas(ws, p)
+            c = peterson.psi(ws, p, minors)
             label = peterson.classify_stratum(p.J, c.x)
             assert toric.canonicalize(datum, c).label == label
 

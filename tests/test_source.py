@@ -204,9 +204,6 @@ UNCALLED_IN_SRC = {
     "verify._default_types": "perfbench reads each suite's types with it",
     "peterson.peterson_membership": "lemma53 is to check it (ROADMAP items "
                                     "6 and 11)",
-    "rootdata.WeylElement.act_on_root": "the Weyl action on roots, read "
-                                        "by the rootdata and acceptance "
-                                        "tests",
 }
 
 

@@ -2,10 +2,12 @@ from fractions import Fraction
 import functools
 import hashlib
 import json
+import os
+import runpy
 
 import pytest
 
-from petersonlab import grouprep, polytope, rootdata, verify
+from petersonlab import grouprep, peterson, polytope, rootdata, verify
 
 
 def test_unknown_suite_and_type():
@@ -176,3 +178,73 @@ def test_verify_all_builds_each_polytope_once(monkeypatch):
         rootdata.datum_from_name("A2"), 5, 0))
     assert len(lams) == len(set(lams))
     assert set(lams) == want
+
+
+def test_q_suites_read_the_stored_q_forms(monkeypatch):
+    """lemma53, psi-strata and splitting read q off `ws.q_polynomials`:
+    on A2 and B2 they make no ad-conjugation of e, and each q form is
+    built once per (type, J), on a fresh Workspace cache."""
+    monkeypatch.setattr(grouprep, "workspace",
+                        functools.lru_cache(maxsize=32)(grouprep.Workspace))
+    conjugations, builds = [], []
+    conjugate, series = grouprep.ad_conjugate_e, grouprep._exp_series
+
+    def counted_conjugate(g, ws):
+        conjugations.append(g)
+        return conjugate(g, ws)
+
+    def counted_series(ws, J, rep, u, den, rows=None):
+        if rep is ws.adjoint_rep():
+            builds.append((ws.datum, J))
+        return series(ws, J, rep, u, den, rows)
+    monkeypatch.setattr(grouprep, "ad_conjugate_e", counted_conjugate)
+    monkeypatch.setattr(grouprep, "_exp_series", counted_series)
+    for suite in ("lemma53", "psi-strata", "splitting"):
+        for typ in ("A2", "B2"):
+            rep = verify.run_suite(suite, typ, seed=0, samples=8)
+            assert rep.failures == [] and rep.cases > 0
+    assert conjugations == []
+    assert len(builds) == len(set(builds)) == 2 * 4
+
+
+def test_psi_strata_evaluates_each_point_once(monkeypatch):
+    """psi-strata hands the minors that sample_points computed on to psi:
+    every `peterson.deltas` call is one of the sampler's."""
+    calls = {"deltas": 0, "sampler": 0}
+    deltas, sample_points = peterson.deltas, peterson.sample_points
+
+    def counted_deltas(ws, p):
+        calls["deltas"] += 1
+        return deltas(ws, p)
+
+    def counted_sampler(*args, **kwargs):
+        before = calls["deltas"]
+        out = sample_points(*args, **kwargs)
+        calls["sampler"] += calls["deltas"] - before
+        return out
+    monkeypatch.setattr(peterson, "deltas", counted_deltas)
+    monkeypatch.setattr(peterson, "sample_points", counted_sampler)
+    rep = verify.run_suite("psi-strata", "A2", seed=0)
+    assert rep.failures == [] and calls["deltas"] > 0
+    assert calls["deltas"] == calls["sampler"]
+
+
+def test_exact_minors_units_match_the_benchmark_reference():
+    """Every unit of the benchmark's exact-minors workload, run in-process
+    at reference seed 0, gives the (cases, report sha256) that
+    perfbench/reference.json records: a change that alters one of these
+    reports shows here, in tier-1.  The benchmark files are only read."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bench = os.path.join(root, "perfbench")
+    samples = runpy.run_path(os.path.join(bench, "workloads.py"))[
+        "WORKLOADS"]["exact-minors"]
+    with open(os.path.join(bench, "reference.json")) as fh:
+        want = json.load(fh)["units"]["exact-minors"]["0"]
+    got = {}
+    for suite, count in samples.items():
+        for typ in verify._default_types(suite):
+            rep = verify.run_suite(suite, typ, 0, count)
+            text = json.dumps(rep.to_dict(), sort_keys=True)
+            got["%s/%s" % (suite, typ)] = [
+                rep.cases, hashlib.sha256(text.encode()).hexdigest()]
+    assert got == want
