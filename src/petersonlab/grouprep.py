@@ -10,10 +10,11 @@ A group element is a word in tokens
     ('exp', elem) exp of a nilpotent Lie element (sorted label/coeff pairs)
 with t exact rational.  Evaluation is lazy per module and favors
 vector application over full matrix products.  Evaluation runs in
-integers: a vector is carried as integer numerators over one common
-denominator through the whole word (Rep.apply_word), and each action
-matrix as integer rows over one denominator; each exp step visits only
-the nonempty rows of its generator.
+integers: a vector is one pair (integer numerators, den) in lowest terms,
+which Rep.apply_word takes and returns, and each action matrix is integer
+rows over one denominator; each exp step visits only the nonempty rows of
+its generator.  Fractions are made only where a value leaves grouprep:
+one per minor, and each entry of GroupElement.apply and .matrix.
 """
 
 from dataclasses import dataclass
@@ -71,7 +72,7 @@ def _int_exp_apply(rows, den_m, nonempty, t, nums, den):
 
     A step that fixes the vector (M nums = 0) returns nums and den as they
     are, with no gcd: Rep.apply_word holds every vector in lowest terms,
-    since linalg.integer_row gives lowest terms and every other step ends
+    since its caller's pair is in lowest terms and every other step ends
     with this gcd."""
     term = _mat_vec(rows, nonempty, nums)
     if not term:
@@ -120,21 +121,14 @@ class Rep:
         # Chevalley label -> (integer rows, R, indices of the nonempty rows)
         self._int_cache = {}
 
-    def apply_word(self, word, vecs):
-        """The word's matrix applied to each column vector of vecs.
-
-        The word's steps are read once.  Each vector is converted once to
-        integer numerators over a common denominator, every step is applied
-        in integers, and the result is converted back once.
-        """
-        steps = [st for tok in reversed(word) for st in self._int_steps(tok)]
-        out = []
-        for vec in vecs:
-            nums, den = linalg.integer_row(vec)
-            for step in steps:
+    def apply_word(self, word, nums, den):
+        """The word's matrix applied to the column vector nums / den, given
+        in lowest terms, as (numerators, den) in lowest terms: every step
+        runs in integers."""
+        for token in reversed(word):
+            for step in self._int_steps(token):
                 nums, den = _int_exp_apply(*step, nums, den)
-            out.append([Fraction(v, den) if v else ZERO for v in nums])
-        return out
+        return nums, den
 
     def _int_steps(self, token):
         """(integer rows, denominator, nonempty rows, t) of each exp(t M)
@@ -189,9 +183,7 @@ class Rep:
         return rows, den, _nonempty(rows)
 
     def unit(self, k):
-        v = [ZERO] * self.dim
-        v[k] = ONE
-        return v
+        return [int(r == k) for r in range(self.dim)]
 
 
 def _invert_token(token):
@@ -219,16 +211,19 @@ class GroupElement:
                                   for t in reversed(self.word)))
 
     def apply(self, rep, vec):
-        """Matrix of the element applied to a column vector."""
-        return rep.apply_word(self.word, [vec])[0]
+        """Matrix of the element applied to a column vector, as Fractions."""
+        nums, den = rep.apply_word(self.word, *linalg.integer_row(vec))
+        return [Fraction(v, den) if v else ZERO for v in nums]
 
     def row_apply(self, rep, row):
         """Row vector times the matrix of the element."""
         return linalg.mat_vec(linalg.transpose(self.matrix(rep)), row)
 
     def matrix(self, rep):
-        cols = rep.apply_word(self.word, map(rep.unit, range(rep.dim)))
-        return [[cols[c][r] for c in range(rep.dim)] for r in range(rep.dim)]
+        cols = [rep.apply_word(self.word, rep.unit(c), 1)
+                for c in range(rep.dim)]
+        return [[Fraction(nums[r], den) if nums[r] else ZERO
+                 for nums, den in cols] for r in range(rep.dim)]
 
 
 def x_(i, t):
@@ -319,13 +314,16 @@ class Workspace:
 
     def extremal_vector(self, lam, J):
         """wdot(w_J) v_lam on the rep of V(lam), v_lam its highest-weight
-        vector, as a shared tuple, built once per (lam, J)."""
+        vector, as a shared pair (integer numerators, den) in lowest terms,
+        built once per (lam, J)."""
         lam = tuple(int(v) for v in lam)
         J = tuple(sorted(set(J)))
 
         def build():
             rep = self.rep(lam)
-            return tuple(wdot(self.longest(J)).apply(rep, rep.unit(0)))
+            nums, den = rep.apply_word(wdot(self.longest(J)).word,
+                                       rep.unit(0), 1)
+            return tuple(nums), den
         return self._once(('extremal', lam, J), build)
 
     def centralizer(self, J):
@@ -359,9 +357,8 @@ class Workspace:
         def build():
             polys = []
             for rep in map(self.fundamental_rep, range(self.datum.n)):
-                u = self.extremal_vector(rep.module.highest_weight, J)
-                polys += _exp_series(self, J, rep, *linalg.integer_row(u),
-                                     rows=(0,))
+                polys += _exp_series(self, J, rep, *self.extremal_vector(
+                    rep.module.highest_weight, J), rows=(0,))
             return IntegerPolynomials(polys)
         return self._once(('minors', J), build)
 
@@ -373,8 +370,7 @@ class Workspace:
 
         def build():
             rep = self.fundamental_rep(i)
-            cols = [_exp_series(self, J, rep, [int(r == c) for r in
-                                               range(rep.dim)], 1)
+            cols = [_exp_series(self, J, rep, rep.unit(c), 1)
                     for c in range(rep.dim)]
             return IntegerPolynomials([f for row in zip(*cols) for f in row])
         return self._once(('matrix', J, i), build)
@@ -405,31 +401,31 @@ class Workspace:
         So row f_i of wdot(w_J)^{-1} is 1/s_i at column c_i alone, and q_i
         is -1/s_i times slot c_i of the exp series from u = e, its
         odd-degree terms negated (exp(-X)).  Raises ValueError where
-        wdot(w_J) does not send f_i to +-c_i."""
+        wdot(w_J) does not send f_i to +-c_i, with denominator 1."""
         J = tuple(sorted(set(J)))
 
         def build():
             rep = self.adjoint_rep()
             labels = rep.module.labels
             w = self.longest(J)
-            images = rep.apply_word(wdot(w).word, [
-                rep.unit(labels.index(('f', idx)))
-                for idx in self.chev.simple_index])
             slots, signs = [], []
-            for i, image in enumerate(images):
+            for i, idx in enumerate(self.chev.simple_index):
+                image, den = rep.apply_word(
+                    wdot(w).word, rep.unit(labels.index(('f', idx))), 1)
                 root = tuple(-v for v in w.act_on_root(
                     [int(j == i) for j in range(self.datum.n)]))
                 label = ('e', self.chev.root_index[root]) \
                     if root in self.chev.root_index else \
                     ('f', self.chev.root_index[tuple(-v for v in root)])
                 slot = labels.index(label)
-                if image[slot] not in (1, -1) or sum(map(bool, image)) != 1:
+                if den != 1 or image[slot] not in (1, -1) \
+                        or sum(map(bool, image)) != 1:
                     raise ValueError("wdot(w_J) does not send f_%d to +-%s"
                                      % (i + 1, label))
                 slots.append(slot)
                 signs.append(image[slot])
-            series = _exp_series(self, J, rep, *linalg.integer_row(
-                regular_nilpotent_vector(self)), rows=slots)
+            series = _exp_series(self, J, rep, regular_nilpotent_vector(self),
+                                 1, rows=slots)
             return IntegerPolynomials([
                 {e: (-1) ** sum(e) * a / -s for e, a in f.items()}
                 for f, s in zip(series, signs)])
@@ -518,27 +514,29 @@ def workspace(datum):
 def delta_varpi(i, g, ws):
     """Highest-weight matrix coefficient of g on the i-th fundamental module."""
     rep = ws.fundamental_rep(i)
-    return g.apply(rep, rep.unit(0))[0]
+    nums, den = rep.apply_word(g.word, rep.unit(0), 1)
+    return Fraction(nums[0], den)
 
 
 def delta_adjoint_type(i, g, ws):
-    """<g v, wdot(w0) v> under the Shapovalov form on V_{m_i w_i}."""
+    """<g v, wdot(w0) v> under the Shapovalov form on V_{m_i w_i}, paired
+    in integers."""
     rep = ws.power_rep(i)
-    v = g.apply(rep, rep.unit(0))
-    low = ws.extremal_vector(rep.module.highest_weight, range(ws.datum.n))
+    v, den = rep.apply_word(g.word, rep.unit(0), 1)
+    low, low_den = ws.extremal_vector(rep.module.highest_weight,
+                                      range(ws.datum.n))
     gram = rep.module.gram
-    return sum(v[a] * sum(gram[a][b] * low[b] for b in range(rep.dim)
-                          if low[b])
-               for a in range(rep.dim) if v[a])
+    return Fraction(sum(v[a] * gram[a][b] * low[b]
+                        for a in range(rep.dim) if v[a]
+                        for b in range(rep.dim) if low[b]), den * low_den)
 
 
 def regular_nilpotent_vector(ws):
+    """e = sum e_i on the adjoint rep, as integers."""
     rep = ws.adjoint_rep()
-    labels = rep.module.labels
-    vec = [ZERO] * rep.dim
-    for i in range(ws.datum.n):
-        vec[labels.index(('e', ws.chev.simple_index[i]))] = ONE
-    return vec
+    simple = {rep.module.labels.index(('e', idx))
+              for idx in ws.chev.simple_index}
+    return [int(r in simple) for r in range(rep.dim)]
 
 
 def ad_conjugate_e(g, ws):

@@ -140,7 +140,8 @@ class RootDatum:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element: reduced word plus its root-lattice matrix.
+    """A Weyl group element: reduced word plus its integer root-lattice
+    matrix, so act_on_root takes and returns integer coordinates.
 
     Elements are compared through the action matrix, never by word.
     """
@@ -153,21 +154,15 @@ class WeylElement:
                      for row in self.matrix)
 
 
-def _reflection_matrix(datum, i):
-    """Matrix of s_i on simple-root coordinates: s_i(a_j) = a_j - <a_j,a_i^vee> a_i."""
-    n = datum.n
-    m = [[Fraction(1) if r == c else Fraction(0) for c in range(n)] for r in range(n)]
-    for j in range(n):
-        m[i][j] -= datum.pairing[j][i]
-    return m
-
-
 def weyl_from_word(datum, word):
-    n = datum.n
-    mat = linalg.identity(n)
+    """The Weyl element of a word, its matrix built in integers: each
+    letter i, in order, reflects every column (the image of a simple root)
+    by s_i(a) = a - <a, a_i^vee> a_i."""
+    cols = [[int(r == c) for r in range(datum.n)] for c in range(datum.n)]
     for i in word:
-        mat = linalg.mat_mul(_reflection_matrix(datum, i), mat)
-    return WeylElement(tuple(word), tuple(tuple(row) for row in mat))
+        for col in cols:
+            col[i] -= datum.root_pair_coroot(col, i)
+    return WeylElement(tuple(word), tuple(zip(*cols)))
 
 
 def build_root_datum(cartan):
@@ -212,7 +207,7 @@ def datum_from_name(name):
 def longest_element(datum, J):
     """Longest element of the parabolic subgroup generated by J."""
     J = sorted(set(J))
-    mu = [Fraction(1) if i in J else Fraction(0) for i in range(datum.n)]
+    mu = [int(i in J) for i in range(datum.n)]
     word = []
     while True:
         i = next((i for i in J if mu[i] > 0), None)

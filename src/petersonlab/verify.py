@@ -124,8 +124,9 @@ def suite_prop44(type_name, samples, seed):
                 for rep in reps]
         for _ in range(per):
             s = grouprep.tnn_sample(w, rng=rng)
-            vals = tuple(s.element.apply(rep, top)[0]
-                         for rep, top in zip(reps, tops))
+            vals = tuple(Fraction(nums[0], den) for nums, den in (
+                rep.apply_word(s.element.word, *top)
+                for rep, top in zip(reps, tops)))
             yield (all(v >= 0 for v in vals),
                    "%s w_J J=%s params=%s" % (type_name, J, s.params),
                    "all minors >= 0", vals)

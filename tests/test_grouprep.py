@@ -231,7 +231,8 @@ def test_apply_word_holds_every_vector_in_lowest_terms(monkeypatch):
     """The kernel returns a vector that its step fixes as it is, with no
     gcd.  That is exact because every vector that apply_word holds is in
     lowest terms: checked after each step of words that fix some vectors
-    and move others."""
+    and move others, on unit vectors and on a rational vector whose
+    denominator is not 1."""
     seen = []
     kernel = grouprep._int_exp_apply
 
@@ -246,6 +247,7 @@ def test_apply_word_holds_every_vector_in_lowest_terms(monkeypatch):
     for rep in (ws.fundamental_rep(0), ws.fundamental_rep(1),
                 ws.adjoint_rep()):
         g.matrix(rep)
+        g.apply(rep, [F(k + 1, 6) for k in range(rep.dim)])
     assert {fixed for fixed, _ in seen} == {True, False}
     assert all(d == 1 for _, d in seen)
 
@@ -456,9 +458,9 @@ def test_extremal_vector_is_applied_once(monkeypatch):
     words = []
     apply_word = grouprep.Rep.apply_word
 
-    def counted(rep, word, vecs):
+    def counted(rep, word, nums, den):
         words.append(word)
-        return apply_word(rep, word, vecs)
+        return apply_word(rep, word, nums, den)
     monkeypatch.setattr(grouprep.Rep, "apply_word", counted)
     ws = _ws("B2")
     w0 = grouprep.wdot(ws.w0()).word
@@ -468,8 +470,9 @@ def test_extremal_vector_is_applied_once(monkeypatch):
     assert words.count(w0) == 1
     low = ws.extremal_vector((1, 0), (0, 1))
     assert ws.extremal_vector([1, 0], (1, 0)) is low
-    assert low == tuple(grouprep.wdot(ws.w0()).apply(
-        ws.fundamental_rep(0), ws.fundamental_rep(0).unit(0)))
+    nums, den = low
+    assert [F(v, den) for v in nums] == grouprep.wdot(ws.w0()).apply(
+        ws.fundamental_rep(0), ws.fundamental_rep(0).unit(0))
     words.clear()
     ws.minor_polynomials((0, 1))
     assert words.count(w0) == 1     # V(w_2) only; V(w_1)'s is stored

@@ -103,13 +103,13 @@ def test_exact_layers_have_no_float_literals():
 
 
 INTEGER_KERNEL = ("_int_exp_apply", "_mat_vec", "tnn_membership_integer",
-                  "minor_plan")
+                  "minor_plan", "Rep.apply_word")
 
 
 def test_integer_kernel_names_no_fraction():
     """The group-element kernel and the minor test run in integers: their
-    functions name neither Fraction nor a module-level Fraction constant
-    of grouprep."""
+    functions, and their methods named as `Class.name`, name neither
+    Fraction nor a module-level Fraction constant of grouprep."""
     from fractions import Fraction
     from petersonlab import grouprep
     path = os.path.join(SRC, "grouprep.py")
@@ -117,6 +117,9 @@ def test_integer_kernel_names_no_fraction():
         tree = ast.parse(fh.read(), filename=path)
     funcs = {node.name: node for node in tree.body
              if isinstance(node, ast.FunctionDef)}
+    funcs.update(("%s.%s" % (cls.name, node.name), node)
+                 for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef))
     assert set(INTEGER_KERNEL) <= set(funcs)
     found = []
     for name in INTEGER_KERNEL:

@@ -148,14 +148,33 @@ def test_prop44_applies_only_the_sample(monkeypatch):
     words = []
     apply_word = grouprep.Rep.apply_word
 
-    def counted(rep, word, vecs):
+    def counted(rep, word, nums, den):
         words.append(word)
-        return apply_word(rep, word, vecs)
+        return apply_word(rep, word, nums, den)
     monkeypatch.setattr(grouprep.Rep, "apply_word", counted)
     cases = list(verify.suite_prop44("A2", 8, 0))   # 2 samples per J
     assert len(cases) == 8 and all(case[0] for case in cases)
     assert len(words) == 8 * 2
     assert not [tok for word in words for tok in word if tok[0] != 'x']
+
+
+def test_minor_readers_build_no_fraction_vector(monkeypatch):
+    """The minor readers read the one coordinate they report off the
+    kernel's integer vector: on a fresh Workspace cache, with
+    GroupElement.apply made to raise, the suites that read minors and
+    extremal vectors still run, and pass."""
+    monkeypatch.setattr(grouprep, "workspace",
+                        functools.lru_cache(maxsize=32)(grouprep.Workspace))
+
+    def refused(g, rep, vec):
+        raise AssertionError("GroupElement.apply called")
+    monkeypatch.setattr(grouprep.GroupElement, "apply", refused)
+    units = [(suite, typ) for suite in ("lemma53", "prop44", "prop35")
+             for typ in ("A2", "B2")]
+    units += [("psi-strata", "B2"), ("prop76", "B2")]
+    for suite, typ in units:
+        rep = verify.run_suite(suite, typ, seed=0, samples=2)
+        assert rep.cases > 0 and rep.failures == [], (suite, typ)
 
 
 def test_verify_all_builds_each_polytope_once(monkeypatch):
