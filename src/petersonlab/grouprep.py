@@ -1,6 +1,8 @@
 """Group elements as exact matrices across modules, and the scalar
 functions built from them: fundamental minors, adjoint-type minors,
-adjoint-orbit coefficients, TNN samplers and the type-A minor test.
+adjoint-orbit coefficients, TNN samplers and the Workspace's integer
+polynomial forms, among them the matrix entries on each fundamental
+module that theorem59's TNN test reads.
 
 A group element is a word in tokens
     ('x', i, t)   exp(t e_i)
@@ -260,9 +262,9 @@ def exp_element(elem):
 class Workspace:
     """Lazily built registry of the reps, longest elements, extremal
     vectors, centralizer bases, Dynkin components, minor, q and matrix
-    polynomials, minor plans, float Newton terms and weight polytopes of
-    one root datum, in one keyed store.  `peterson` keeps its Newton grid
-    values there too."""
+    polynomials, float Newton terms and weight polytopes of one root
+    datum, in one keyed store.  `peterson` keeps its Newton grid values
+    there too."""
 
     def __init__(self, datum):
         self.datum = datum
@@ -365,7 +367,10 @@ class Workspace:
     def matrix_polynomials(self, J, i):
         """The entries of exp(sum c_k b_k) on fundamental_rep(i), row by
         row, as shared IntegerPolynomials, built once per (J, i): column c
-        is the exp series from the unit vector v_c."""
+        is the exp series from the unit vector v_c.  On a type-A
+        component, V(w_k) = Lambda^k V(w_1), so the entries on node k are
+        the k x k minors of the matrix on node 1: theorem59's TNN test
+        reads them."""
         J = tuple(sorted(set(J)))
 
         def build():
@@ -374,21 +379,6 @@ class Workspace:
                     for c in range(rep.dim)]
             return IntegerPolynomials([f for row in zip(*cols) for f in row])
         return self._once(('matrix', J, i), build)
-
-    def minor_plan(self, J, i):
-        """grouprep.minor_plan of the unitriangular matrix_polynomials(J,
-        i), built once per (J, i): an entry with no term is 0, and one
-        whose only term is the constant den is 1."""
-        J = tuple(sorted(set(J)))
-
-        def build():
-            ip = self.matrix_polynomials(J, i)
-            one = tuple((j, ip.den) for j, (e, _) in enumerate(ip.monomials)
-                        if not any(e))
-            return minor_plan([0 if not f else 1 if f == one else None
-                               for f in ip.terms],
-                              self.fundamental_rep(i).dim)
-        return self._once(('plan', J, i), build)
 
     def q_polynomials(self, J):
         """q_i(exp(X) wdot(w_J)) for each node i, X = sum c_k b_k, as shared
@@ -568,76 +558,15 @@ def tnn_sample(w, params=None, rng=None):
 
 def tnn_membership_typeA(mat, tol=Fraction(0)):
     """True iff every minor of the upper unitriangular mat is at least
-    -tol: tnn_membership_integer on mat over one common denominator, with
-    the minor plan of mat's own 0 and 1 entries."""
-    nums, den = linalg.integer_row([v for row in mat for v in row])
-    return tnn_membership_integer(nums, den, len(mat), tol)
-
-
-def minor_plan(fixed, n):
-    """The minors of an upper unitriangular n x n matrix that can differ
-    from 0 and 1, given which entries are fixed: fixed[n r + c] is 0 or 1,
-    or None where entry (r, c) varies.
-
-    In order of size, each minor is (rows, cols, terms), its terms the
-    (sign, entry, sub) of its first-row expansion whose entry and
-    (k-1)-minor can be nonzero, sub the index in the plan of that minor,
-    or None where it is 1.  A minor with no such term is 0, and one whose
-    only term is +1 * 1 is 1; both are left out.  Raises ValueError unless
-    the fixed entries make the matrix upper unitriangular."""
-    for i in range(n):
-        if fixed[n * i + i] != 1:
-            raise ValueError("matrix is not unitriangular")
-        if any(v != 0 for v in fixed[n * i:n * i + i]):
-            raise ValueError("matrix is not upper triangular")
-    constant = {((), ()): 1}    # the minors left out, 0 or 1
-    index, plan = {}, []
-    for k in range(1, n + 1):
-        for rows in itertools.combinations(range(n), k):
-            for cols in itertools.combinations(range(n), k):
-                terms = []
-                for j, c in enumerate(cols):
-                    e, sub = n * rows[0] + c, (rows[1:],
-                                               cols[:j] + cols[j + 1:])
-                    if fixed[e] != 0 and constant.get(sub) != 0:
-                        terms.append(((-1) ** j, e, index.get(sub)))
-                if not terms:
-                    constant[rows, cols] = 0
-                elif [(sign, fixed[e], sub) for sign, e, sub in terms] \
-                        == [(1, 1, None)]:
-                    constant[rows, cols] = 1
-                else:
-                    index[rows, cols] = len(plan)
-                    plan.append((rows, cols, tuple(terms)))
-    return tuple(plan)
-
-
-def tnn_membership_integer(nums, den, n, tol=0, plan=None):
-    """True iff every minor of the upper unitriangular n x n matrix
-    nums / den (row by row) is at least -tol = -tn/td, tol >= 0, decided
-    in integers: each k x k minor m of nums in `plan`, expanded along its
-    first row, must have m * td >= -tn * den^k.  The minors the plan
-    leaves out are 0 or 1.  The default plan is minor_plan of the
-    matrix's own 0 and 1 entries; a given plan must be one of a pattern
-    that nums / den matches."""
-    if plan is None:
-        plan = minor_plan([0 if v == 0 else 1 if v == den else None
-                           for v in nums], n)
-    tn, td = tol.as_integer_ratio()
-    dens = [1]      # den^0, ..., den^n
-    for _ in range(n):
-        dens.append(dens[-1] * den)
-    minors = []
-    for rows, _, terms in plan:
-        k = len(rows)
-        m = 0
-        for sign, e, sub in terms:
-            m += sign * nums[e] * (dens[k - 1] if sub is None
-                                   else minors[sub])
-        if m * td < -tn * dens[k]:
-            return False
-        minors.append(m)
-    return True
+    -tol, one linalg.det per minor.  Raises ValueError unless mat is upper
+    unitriangular."""
+    n = len(mat)
+    if any(mat[r][c] != int(r == c) for r in range(n) for c in range(r + 1)):
+        raise ValueError("matrix is not upper unitriangular")
+    return all(linalg.det([[mat[r][c] for c in cols] for r in rows]) >= -tol
+               for k in range(1, n + 1)
+               for rows in itertools.combinations(range(n), k)
+               for cols in itertools.combinations(range(n), k))
 
 
 def centralizer_basis(ws, J):

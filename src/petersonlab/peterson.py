@@ -244,10 +244,10 @@ def _random_starts(seed, n):
 def invert_theorem59(ws, target, seed=0, grid_starts=True):
     """The certified totally nonnegative preimage of the target minors,
     with its Certificate: a Peterson point whose minors match the targets
-    and whose unipotent part passes the exact type-A minor test, both
-    decided by certify_theorem59.  Its centralizer coordinates may be
-    negative.  The certificate also records the starts tried and the
-    Newton steps of the accepted one.
+    and whose unipotent part is TNN, each type-A minor read as an entry
+    on a fundamental module, both decided by certify_theorem59.  Its
+    centralizer coordinates may be negative.  The certificate also
+    records the starts tried and the Newton steps of the accepted one.
 
     Implemented for J whose Dynkin components are of type A1 or A2, where
     that test applies.  Newton's method on the minor polynomials of all of
@@ -314,7 +314,7 @@ class Certificate:
 
     minors: tuple      # integer numerators of Delta_1, ..., Delta_n over den
     den: int
-    tnn: bool          # the type-A minor test passes on every component
+    tnn: bool          # every entry of x on V(w_i), i in J, is >= -tol
     residual: float    # max |Delta_i - target_i|
     starts: int = 0    # from invert_theorem59: the starts it tried
     steps: int = 0     # from invert_theorem59: the accepted start's steps
@@ -326,16 +326,21 @@ def certify_theorem59(ws, p, target):
 
     With the coordinates as integers nums over one denominator q, the
     integer forms `ws.minor_polynomials` and `ws.matrix_polynomials` give
-    the fundamental minors and the matrix of the unipotent part on the
-    fundamental module of each component's first node as numerators.  The
-    matrix passes `grouprep.tnn_membership_integer` at INVERSION_TOL on
-    the minors of `ws.minor_plan`, and the residual is one correctly
-    rounded integer division per minor."""
+    the fundamental minors and the matrix entries of the unipotent part x
+    on every fundamental module of J as numerators.  x is TNN when every
+    minor of its matrix on each component's first fundamental module is
+    at least -INVERSION_TOL.  On a type-A_m component those k x k minors
+    are exactly the entries of x on V(w_k) = Lambda^k V(w_1), the
+    generalized minors of Fomin-Zelevinsky (J. Amer. Math. Soc. 12,
+    1999), for k = 1, ..., m; the (m+1) x (m+1) minor is det x = 1.  So
+    every entry v / d of x on V(w_i), i in J, must pass v td >= -tn d,
+    tn / td = INVERSION_TOL.  The residual is one correctly rounded
+    integer division per minor."""
     nums, q = linalg.integer_row(p.coords)
     minors, den = ws.minor_polynomials(p.J).evaluate(nums, q)
-    tnn = all(grouprep.tnn_membership_integer(
-        *ws.matrix_polynomials(p.J, c[0]).evaluate(nums, q),
-        ws.fundamental_rep(c[0]).dim, INVERSION_TOL,
-        ws.minor_plan(p.J, c[0])) for c in ws.components(p.J))
+    tn, td = INVERSION_TOL.as_integer_ratio()
+    tnn = all(v * td >= -tn * d for i in p.J
+              for vals, d in [ws.matrix_polynomials(p.J, i).evaluate(nums, q)]
+              for v in vals)
     resid = max(abs(m / den - t) for m, t in zip(minors, target))
     return Certificate(tuple(minors), den, tnn, resid)

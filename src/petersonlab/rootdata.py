@@ -155,11 +155,12 @@ class WeylElement:
 
 
 def weyl_from_word(datum, word):
-    """The Weyl element of a word, its matrix built in integers: each
-    letter i, in order, reflects every column (the image of a simple root)
-    by s_i(a) = a - <a, a_i^vee> a_i."""
+    """The Weyl element s_{i_1} ... s_{i_k} of the word (i_1, ..., i_k),
+    the element that grouprep.wdot(word) represents, its matrix built in
+    integers: each letter i, from the last to the first, reflects every
+    column (the image of a simple root) by s_i(a) = a - <a, a_i^vee> a_i."""
     cols = [[int(r == c) for r in range(datum.n)] for c in range(datum.n)]
-    for i in word:
+    for i in reversed(word):
         for col in cols:
             col[i] -= datum.root_pair_coroot(col, i)
     return WeylElement(tuple(word), tuple(zip(*cols)))

@@ -181,50 +181,45 @@ def test_tnn_membership_rejects_nontriangular():
         grouprep.tnn_membership_typeA([[F(1), F(0)], [F(1), F(1)]])
 
 
-def test_tnn_membership_integer_checks_the_diagonal_over_den():
-    """The integer core reads nums / den: a diagonal numerator equal to
-    den is 1, any other is refused."""
-    assert grouprep.tnn_membership_integer([2, 1, 0, 2], 2, 2)
-    assert not grouprep.tnn_membership_integer([2, -1, 0, 2], 2, 2)
-    with pytest.raises(ValueError, match="unitriangular"):
-        grouprep.tnn_membership_integer([2, 1, 0, 3], 2, 2)
-    with pytest.raises(ValueError, match="upper triangular"):
-        grouprep.tnn_membership_integer([2, 0, 1, 2], 2, 2)
+def _random_word(rng, ws):
+    """A word of x, y and exp tokens: exp of a random combination of the
+    positive root vectors."""
+    g = grouprep.identity_element()
+    for _ in range(rng.randint(3, 6)):
+        t = F(rng.randint(-6, 6), rng.randint(1, 4))
+        kind = rng.choice("xye")
+        if kind == "x":
+            g = g * grouprep.x_(rng.randrange(ws.datum.n), t)
+        elif kind == "y":
+            g = g * grouprep.y_(rng.randrange(ws.datum.n), t)
+        else:
+            g = g * grouprep.exp_element(
+                {('e', idx): F(rng.randint(-3, 3), rng.randint(1, 3))
+                 for idx in range(len(ws.datum.positive_roots))})
+    return g
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "A1xA1", "A2xA1"])
-def test_minor_plan_leaves_out_only_constant_minors(name):
-    """For every J and node i, each minor of the unipotent part's matrix
-    on fundamental_rep(i) that ws.minor_plan(J, i) leaves out is exactly
-    0 or 1: at random rationals, and on the grid {-2, 0, 1/2, 2}^|J|,
-    which holds zero coordinates and the A2 points (2, +-2) where Delta_1
-    or Delta_2 vanishes."""
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A2xA1"])
+def test_fundamental_entries_are_the_minors_in_type_a(name):
+    """On a type-A component c, V(w_k) = Lambda^k V(w_1): the entries of g
+    on fundamental_rep(c[k-1]) are the k x k minors of g on
+    fundamental_rep(c[0]), as multisets.  theorem59's TNN test rests on
+    this identity."""
     ws = _ws(name)
-    n = ws.datum.n
-    rng = random.Random(3)
-    for J in rootdata.subsets(range(n)):
-        points = list(itertools.product([F(-2), F(0), F(1, 2), F(2)],
-                                        repeat=len(J)))
-        points += [[F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in J]
-                   for _ in range(6)]
-        for i in range(n):
-            dim = ws.fundamental_rep(i).dim
-            plan = ws.minor_plan(J, i)
-            tested = {(rows, cols) for rows, cols, _ in plan}
-            left_out = [(rows, cols) for k in range(1, dim + 1)
-                        for rows in itertools.combinations(range(dim), k)
-                        for cols in itertools.combinations(range(dim), k)
-                        if (rows, cols) not in tested]
-            for coords in points:
-                vals, den = ws.matrix_polynomials(J, i).evaluate(
-                    *linalg.integer_row(coords))
-                mat = [[F(vals[dim * r + c], den) for c in range(dim)]
-                       for r in range(dim)]
-                for rows, cols in left_out:
-                    m = linalg.det([[mat[r][c] for c in cols] for r in rows])
-                    assert m in (0, 1), (J, i, coords, rows, cols, m)
-    if name == "A2":    # 6 of the 19 minors of the 3 x 3 matrix
-        assert len(ws.minor_plan((0, 1), 0)) == 6
+    rng = random.Random(25)
+    for _ in range(3):
+        g = _random_word(rng, ws)
+        for comp in rootdata.dynkin_components(ws.datum):
+            first = g.matrix(ws.fundamental_rep(comp[0]))
+            n = len(first)
+            for k, node in enumerate(comp, 1):
+                minors = [linalg.det([[first[r][c] for c in cols]
+                                      for r in rows])
+                          for rows in itertools.combinations(range(n), k)
+                          for cols in itertools.combinations(range(n), k)]
+                entries = [v for row in g.matrix(ws.fundamental_rep(node))
+                           for v in row]
+                assert sorted(entries) == sorted(minors), (name, node)
 
 
 def test_apply_word_holds_every_vector_in_lowest_terms(monkeypatch):

@@ -1,10 +1,11 @@
 from fractions import Fraction
+import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from petersonlab import linalg, rootdata
+from petersonlab import grouprep, linalg, rootdata
 
 from test_acceptance import involution_star
 
@@ -192,3 +193,28 @@ def test_weyl_elements_compare_by_matrix_not_word():
     assert a.word != b.word
     assert a == b and hash(a) == hash(b)
     assert a != rootdata.weyl_from_word(datum, (0, 1))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_weyl_from_word_is_the_element_wdot_represents(name):
+    """For every word of length <= 3 and every simple root a_j, the image
+    weyl_from_word(word) a_j is the root of the label that wdot(word)
+    sends e_{a_j} to on the adjoint rep, up to sign."""
+    ws = grouprep.Workspace(rootdata.datum_from_name(name))
+    n = ws.datum.n
+    rep = ws.adjoint_rep()
+    labels = rep.module.labels
+    roots = ws.datum.positive_roots
+    for length in range(4):
+        for word in itertools.product(range(n), repeat=length):
+            w = rootdata.weyl_from_word(ws.datum, word)
+            for j in range(n):
+                start = labels.index(('e', ws.chev.simple_index[j]))
+                image = grouprep.wdot(word).apply(rep, rep.unit(start))
+                slots = [r for r, v in enumerate(image) if v]
+                assert len(slots) == 1 and abs(image[slots[0]]) == 1
+                kind, idx = labels[slots[0]]
+                root = roots[idx] if kind == 'e' else tuple(
+                    -v for v in roots[idx])
+                simple = tuple(int(k == j) for k in range(n))
+                assert w.act_on_root(simple) == root, (word, j)

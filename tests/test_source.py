@@ -102,14 +102,13 @@ def test_exact_layers_have_no_float_literals():
     assert not found, "float literals in exact layers: " + ", ".join(found)
 
 
-INTEGER_KERNEL = ("_int_exp_apply", "_mat_vec", "tnn_membership_integer",
-                  "minor_plan", "Rep.apply_word")
+INTEGER_KERNEL = ("_int_exp_apply", "_mat_vec", "Rep.apply_word")
 
 
 def test_integer_kernel_names_no_fraction():
-    """The group-element kernel and the minor test run in integers: their
-    functions, and their methods named as `Class.name`, name neither
-    Fraction nor a module-level Fraction constant of grouprep."""
+    """The group-element kernel runs in integers: its functions, and its
+    methods named as `Class.name`, name neither Fraction nor a
+    module-level Fraction constant of grouprep."""
     from fractions import Fraction
     from petersonlab import grouprep
     path = os.path.join(SRC, "grouprep.py")
