@@ -7,21 +7,19 @@ these bases <w_i, alpha_j^vee> = delta_ij and the polytope inequalities
 become linear forms with exact rational coefficients.
 
 The hull oracle is deliberately independent of the H-representation: it
-computes the Weyl-orbit hull and clips it by the chamber.  One exact
-integer double-description routine enumerates both the hull's facets and
-the clip's vertices, and every hyperplane and vertex is certified once
-against every point or inequality.  No step uses floating point.
+reads only the Weyl orbit of lambda, in integers, and the simple
+reflections.  It finds the hull's facets up to symmetry (Bremner, Dutour
+Sikiric and Schuermann, CRM Proc. Lecture Notes 48, 2009), certifies each
+once against the orbit, and clips the hull by the chamber with one exact
+integer double-description routine.  No step uses floating point.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import countOf, mul
+from operator import countOf, le, mul
 
 from . import linalg, rootdata
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -97,40 +95,39 @@ class FaceLattice:
     faces: dict          # (K, J) -> Face
 
 
-def vertices(datum, lam):
-    """The 2^n vertices of P^lambda, J -> the point on the walls of J and
-    on the caps outside J."""
-    n = datum.n
-    pinv = datum.pairing_inverse
-    lam_alpha = datum.weight_to_root_coords(lam)
-    out = {}
-    for J in rootdata.subsets(range(n)):
-        rows = []
-        rhs = []
-        for i in range(n):
-            if i in J:
-                rows.append([ONE if j == i else ZERO for j in range(n)])
-                rhs.append(ZERO)
-            else:
-                rows.append([pinv[j][i] for j in range(n)])
-                rhs.append(lam_alpha[i])
-        out[J] = tuple(linalg.solve(rows, rhs))
-    return out
-
-
-def build_polytope(datum, lam):
-    """P^lambda with its 2^n vertices and 3^n faces, exactly."""
-    n = datum.n
+def _regular(lam):
+    """lam as Fractions, refused unless every coordinate is > 0."""
     lam = tuple(Fraction(v) for v in lam)
     if any(v <= 0 for v in lam):
         raise ValueError("lambda must be regular dominant "
                          "(all fundamental-weight coordinates > 0)")
+    return lam
+
+
+def build_polytope(datum, lam):
+    """P^lambda with its 2^n vertices and 3^n faces, exactly.
+
+    Vertex J has lambda's simple-root coordinates outside J and pairs to 0
+    with alpha_j^vee for j in J, so one |J| x |J| solve on the Levi's
+    Cartan block gives its simple-root coordinates.  The face ranks run
+    on the vertices as integer numerators over one denominator."""
+    n = datum.n
+    lam = _regular(lam)
     lam_alpha = datum.weight_to_root_coords(lam)
-    verts = vertices(datum, lam)
+    pairing = datum.pairing
+    verts, vertex_alpha = {}, {}
+    for J in rootdata.subsets(range(n)):
+        alpha = list(lam_alpha)
+        if J:
+            rhs = [-sum(lam_alpha[i] * pairing[i][j]
+                        for i in range(n) if i not in J) for j in J]
+            sol = linalg.solve([[pairing[i][j] for i in J] for j in J], rhs)
+            for i, c in zip(J, sol):
+                alpha[i] = c
+        verts[J] = datum.root_to_weight_coords(alpha)
+        vertex_alpha[verts[J]] = tuple(alpha)
     poly = HPolytope(datum=datum, lam=lam, vertices=verts,
-                     cap_values=lam_alpha,
-                     vertex_alpha={v: datum.weight_to_root_coords(v)
-                                   for v in verts.values()})
+                     cap_values=lam_alpha, vertex_alpha=vertex_alpha)
     for J, v in verts.items():
         for i in range(n):
             if poly.wall_value(i, v) < 0 or \
@@ -138,17 +135,16 @@ def build_polytope(datum, lam):
                 raise AssertionError("vertex %s = %s violates inequality %d"
                                      % (J, v, i))
 
+    flat, _ = linalg.integer_row([c for v in verts.values() for c in v])
+    nums = {J: flat[k:k + n] for J, k in zip(verts, range(0, len(flat), n))}
     faces = {}
     for J in rootdata.subsets(range(n)):
-        J = tuple(sorted(J))
         for K in rootdata.subsets(J):
-            K = tuple(sorted(K))
             vjs = tuple(sorted(
                 J2 for J2 in verts if set(K) <= set(J2) <= set(J)))
-            pts = [verts[j2] for j2 in vjs]
-            base = pts[0]
-            diffs = [[p[k] - base[k] for k in range(n)] for p in pts[1:]]
-            dim = linalg.rank(diffs)
+            base, *rest = (nums[j2] for j2 in vjs)
+            dim = linalg.rank([[x - y for x, y in zip(p, base)]
+                               for p in rest])
             if dim != len(J) - len(K):
                 raise AssertionError("face (%s, %s) has dimension %d"
                                      % (K, J, dim))
@@ -173,18 +169,20 @@ def cube_check(lattice):
         return tuple('0' if i in K else ('*' if i in J else '1')
                      for i in range(n))
 
-    def cube_leq(a, b):
-        return all(cb == '*' or ca == cb for ca, cb in zip(a, b))
-
     iso = {label: to_cube(label) for label in labels}
     if len(set(iso.values())) != len(labels):
         return False, iso
-    # face containment is containment of vertex sets
-    verts = {label: frozenset(lattice.faces[label].vertex_js)
-             for label in labels}
-    for a in labels:
-        for b in labels:
-            if (verts[a] <= verts[b]) != cube_leq(iso[a], iso[b]):
+    # bitmasks: a face's vertex set, and its code's '*' and '1' places.
+    # Cube face a lies in b when b has '*' wherever a has '*' or differs.
+    index = {j: k for k, j in enumerate(sorted(
+        {j for f in lattice.faces.values() for j in f.vertex_js}))}
+    masks = [(sum(1 << index[j] for j in set(lattice.faces[label].vertex_js)),
+              sum(1 << i for i, c in enumerate(iso[label]) if c == '*'),
+              sum(1 << i for i, c in enumerate(iso[label]) if c == '1'))
+             for label in labels]
+    for va, sa, oa in masks:
+        for vb, sb, ob in masks:
+            if (not va & ~vb) != (not (sa | oa ^ ob) & ~sb):
                 return False, iso
     return True, iso
 
@@ -211,26 +209,28 @@ def normal_fan(poly, lattice):
 # Independent oracle: Weyl-orbit hull clipped by the chamber
 
 
-def weyl_orbit(datum, lam):
-    """The W-orbit of lam, sorted.  The simple reflections act on the
-    integer numerators of lam over its common denominator; each
-    coordinate becomes a Fraction once, at the end."""
-    nums, den = linalg.integer_row(lam)
-    start = tuple(nums)
-    seen = {start}
-    frontier = [start]
+def _closure(starts, reflections):
+    """The orbit of the integer tuples `starts` under the group the maps
+    `reflections` generate, sorted."""
+    seen = frontier = set(starts)
     while frontier:
-        nxt = []
-        for w in frontier:
-            for c, row in zip(w, datum.pairing):
-                if c == 0:
-                    continue
-                img = tuple(x - c * r for x, r in zip(w, row))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return [tuple(Fraction(v, den) for v in w) for w in sorted(seen)]
+        frontier = {s(w) for w in frontier for s in reflections} - seen
+        seen |= frontier
+    return sorted(seen)
+
+
+def _orbit(datum, nums):
+    """The W-orbit of a weight's integer numerators, sorted."""
+    return _closure([tuple(nums)], [
+        lambda x, i=i, row=row: tuple(v - x[i] * r for v, r in zip(x, row))
+        for i, row in enumerate(datum.pairing)])
+
+
+def weyl_orbit(datum, lam):
+    """The W-orbit of lam, sorted, as Fractions: the point set the tests
+    hand to _exact_hull_facets, the reference for _hull_facets."""
+    nums, den = linalg.integer_row(lam)
+    return [tuple(Fraction(v, den) for v in w) for w in _orbit(datum, nums)]
 
 
 def _extreme_rays(rows):
@@ -311,22 +311,59 @@ def _exact_hull_facets(points):
     return sorted((a, Fraction(top, den)) for a, top in facets)
 
 
-def hull_oracle(datum, lam):
-    """Vertices of Conv(W.lambda) intersected with the dominant chamber."""
+def _hull_facets(datum, nums):
+    """The facets (a, top) of the hull of the W-orbit of a regular dominant
+    weight with integer numerators nums: a.p <= top on the orbit.
+
+    The normal cone at lambda lies in the edge cone {a : a.alpha_i >= 0},
+    as lambda - s_i lambda = lambda_i alpha_i; once every edge-cone ray is
+    certified maximal at lambda, the cones are equal, and their rays are
+    the normals of the facets through lambda.  Every facet holds some
+    w lambda, so closing these normals under s_i : a -> a - (a.alpha_i) e_i
+    gives every facet.  Each is certified as in _exact_hull_facets."""
     n = datum.n
-    hull_ineqs = _exact_hull_facets(weyl_orbit(datum, lam))
-    # the clip homogenized, {(x, t) : a.x <= b t, x >= 0}: each of its rays
-    # (x, t) has t > 0 and is the vertex x / t
-    rows = [[-v * b.denominator for v in a] + [b.numerator]
-            for a, b in hull_ineqs]
-    rows += [[int(j == i) for j in range(n + 1)] for i in range(n)]
+    orbit = _orbit(datum, nums)
+    normals = [a for a, _ in _extreme_rays(datum.pairing)]
+    if any(sum(map(mul, a, p)) > sum(map(mul, a, nums))
+           for a in normals for p in orbit):
+        raise AssertionError("an edge-cone ray is not maximal at lambda")
+    facets = []
+    for a in _closure(normals, [
+            lambda a, i=i, row=row: a[:i] + (a[i] - sum(map(mul, a, row)),)
+            + a[i + 1:] for i, row in enumerate(datum.pairing)]):
+        vals = [sum(map(mul, a, p)) for p in orbit]
+        top = max(vals)
+        base, *rest = (p for p, v in zip(orbit, vals) if v == top)
+        dim = linalg.rank([[x - y for x, y in zip(p, base)] for p in rest])
+        if dim != n - 1:
+            raise AssertionError("the %d points of a facet span dimension "
+                                 "%d, not %d" % (len(rest) + 1, dim, n - 1))
+        facets.append((a, top))
+    return facets
+
+
+def hull_oracle(datum, lam):
+    """Vertices of Conv(W.lambda) intersected with the dominant chamber,
+    for regular dominant lambda.  It reads the orbit and the reflections,
+    never the H-representation."""
+    n = datum.n
+    nums, den = linalg.integer_row(_regular(lam))
+    # the clip homogenized over den, {(x, t) : den a.x <= top t, x >= 0},
+    # whose rays (x, t) are the vertices x / t.  A row r >= r' is implied by
+    # r' on (x, t) >= 0, so only the least rows enter; checking each vertex
+    # against every row keeps the clip exact whether or not that holds.
+    rows = [[-den * v for v in a] + [top]
+            for a, top in _hull_facets(datum, nums)]
+    least = [r for r in rows
+             if not any(q != r and all(map(le, q, r)) for q in rows)]
+    walls = [[int(j == i) for j in range(n + 1)] for i in range(n)]
     verts = []
-    for ray, _ in _extreme_rays(rows):
+    for ray, _ in _extreme_rays(least + walls):
         if ray[n] <= 0:
             raise AssertionError("the clipped hull is unbounded along %s"
                                  % (ray[:n],))
         v = tuple(Fraction(x, ray[n]) for x in ray[:n])
-        if any(sum(map(mul, row, ray)) < 0 for row in rows):
+        if any(sum(map(mul, row, ray)) < 0 for row in rows + walls):
             raise AssertionError("vertex %s violates an inequality" % (v,))
         verts.append(v)
     return sorted(verts)

@@ -184,3 +184,73 @@ def test_hull_oracle_matches_on_random_regular_lambda_rank3(name, lam):
     datum = _datum(name)
     poly, _ = polytope.build_polytope(datum, lam)
     assert sorted(poly.vertices.values()) == polytope.hull_oracle(datum, lam)
+
+
+@pytest.mark.parametrize("name,lam", [("A2", (1, 0)), ("A2xA1", (1, 1, 0)),
+                                      ("A2", (0, 0))])
+def test_hull_oracle_refuses_non_regular_lambda(monkeypatch, name, lam):
+    """The oracle's domain is build_polytope's: it refuses, with the same
+    message, before it builds an orbit."""
+    def no_orbit(*args):
+        raise AssertionError("an orbit was built")
+    monkeypatch.setattr(polytope, "_closure", no_orbit)
+    datum = _datum(name)
+    lam = tuple(F(v) for v in lam)
+    with pytest.raises(ValueError) as built:
+        polytope.build_polytope(datum, lam)
+    with pytest.raises(ValueError) as oracle:
+        polytope.hull_oracle(datum, lam)
+    assert str(oracle.value) == str(built.value)
+
+
+def test_symmetric_hull_facets_match_the_general_double_description():
+    """The facets closed up from the edge cone at lambda are those the
+    general double description finds on the whole orbit: every catalog
+    type, at rho and at the cube suite's lambdas for seeds 0 and 11."""
+    for name in rootdata.CATALOG:
+        datum = _datum(name)
+        lams = [(F(1),) * datum.n]
+        for seed in (0, 11):
+            lams += verify._random_regular_lambdas(datum, 5, seed)
+        for lam in lams:
+            nums, den = linalg.integer_row(lam)
+            got = sorted((a, F(top, den))
+                         for a, top in polytope._hull_facets(datum, nums))
+            assert got == polytope._exact_hull_facets(
+                polytope.weyl_orbit(datum, lam)), (name, lam)
+
+
+def test_hull_oracle_work_on_d4(monkeypatch):
+    """On D4 at rho the oracle takes no general double description and no
+    kernel, one integer rank per facet (48), and two small double
+    descriptions: the edge cone on n rows, the clip on at most 2n."""
+    calls = {"kernel_basis": 0, "rank": 0, "_exact_hull_facets": 0}
+    for owner, name in ((linalg, "kernel_basis"), (linalg, "rank"),
+                        (polytope, "_exact_hull_facets")):
+        def counted(a, name=name, fn=getattr(owner, name)):
+            calls[name] += 1
+            return fn(a)
+        monkeypatch.setattr(owner, name, counted)
+    sizes = []
+
+    def sized(rows, fn=polytope._extreme_rays):
+        sizes.append(len(rows))
+        return fn(rows)
+    monkeypatch.setattr(polytope, "_extreme_rays", sized)
+    datum = _datum("D4")
+    assert len(polytope.hull_oracle(datum, (F(1),) * 4)) == 16
+    assert calls == {"kernel_basis": 0, "rank": 48, "_exact_hull_facets": 0}
+    assert len(sizes) == 2 and sizes[0] <= 4 and sizes[1] <= 8
+
+
+@pytest.mark.parametrize("name", sorted(rootdata.CATALOG))
+def test_vertex_alpha_are_the_simple_root_coordinates(name):
+    """The Levi solve gives each vertex's simple-root coordinates: they
+    are weight_to_root_coords of the vertex, as Fractions."""
+    datum = _datum(name)
+    for lam in ((F(1),) * datum.n,
+                verify._random_regular_lambdas(datum, 1, 0)[0]):
+        poly, _ = polytope.build_polytope(datum, lam)
+        for v, alpha in poly.vertex_alpha.items():
+            assert all(isinstance(c, F) for c in v + alpha)
+            assert alpha == datum.weight_to_root_coords(v)

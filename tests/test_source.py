@@ -206,6 +206,10 @@ UNCALLED_IN_SRC = {
     "verify._default_types": "perfbench reads each suite's types with it",
     "peterson.peterson_membership": "lemma53 is to check it (ROADMAP items "
                                     "6 and 11)",
+    "polytope._exact_hull_facets": "the general double description that "
+                                   "tests compare the symmetric facets with",
+    "polytope.weyl_orbit": "the Fraction orbit that tests hand to "
+                           "_exact_hull_facets",
 }
 
 
