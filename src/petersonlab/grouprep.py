@@ -34,13 +34,6 @@ ONE = Fraction(1)
 
 # -- the integer kernel ------------------------------------------------
 
-def _int_rows(rows):
-    """Sparse rational rows as (integer rows, R), rows = integer rows / R."""
-    nums, den = linalg.integer_row([v for row in rows for _, v in row])
-    values = iter(nums)
-    return tuple(tuple((c, next(values)) for c, _ in row) for row in rows), den
-
-
 def _nonempty(rows):
     """The indices of the nonempty rows of a sparse matrix."""
     return tuple(r for r, row in enumerate(rows) if row)
@@ -162,14 +155,14 @@ class Rep:
                 raise KeyError(label)
             if idx in simple:
                 act = self.module.act_e if kind == 'e' else self.module.act_f
-                rows = act[simple.index(idx)]
+                (rows,), den = liealg.integer_rows([act[simple.index(idx)]])
             else:
                 i, bidx, div, fsign = self.chev.defpair[idx]
                 a, da = self._int_label((kind, simple[i]))
                 b, db = self._int_label((kind, bidx))
-                rows = liealg.commutator(a, b, Fraction(
-                    fsign if kind == 'f' else 1, div * da * db))
-            rows, den = _int_rows(rows)
+                rows, den = liealg.lowest_terms(
+                    liealg.scaled(liealg.commutator(a, b),
+                                  fsign if kind == 'f' else 1), div * da * db)
             self._int_cache[label] = rows, den, _nonempty(rows)
         return self._int_cache[label]
 

@@ -1,30 +1,29 @@
 """Chevalley bases and exact finite-dimensional highest-weight modules.
 
-Modules are built as Verma quotients: f-monomials applied to a formal
-highest vector, quotiented by the radical of the recursively computed
-contravariant (Shapovalov) Gram matrix.  The form is computed in
-integers, and each weight space takes one linalg.solve_matrix on its
-integer Gram block for every e_i and f_i image that lands in it, so the
-actions are exact rationals.
+An irreducible module is built level by level on a basis of f-words.
+Each candidate f_j v_b has its e-images read off the actions already
+stored; one echelon of those images per weight picks the basis vectors
+and gives the other candidates' f-images, and the contravariant form
+is read off the actions as an integer matrix.
 
 Structure constants are obtained by realizing root vectors, as sparse
-exact commutators, inside a small faithful fundamental module per Dynkin
-component: for each non-simple positive root gamma the defining pair is
-(i, gamma - alpha_i) with i the smallest qualifying node (extraspecial-
-pair convention), the divisor is p+1 for the alpha_i-string through
-gamma - alpha_i, and the f-side sign is fixed by
-[e_gamma, f_gamma] = h_{gamma^vee}.
+integer commutators over one denominator, inside a small faithful
+fundamental module per Dynkin component: for each non-simple positive
+root gamma the defining pair is (i, gamma - alpha_i) with i the smallest
+qualifying node (extraspecial-pair convention), the divisor is p+1 for
+the alpha_i-string through gamma - alpha_i, and the f-side sign is fixed
+by [e_gamma, f_gamma] = h_{gamma^vee}.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import linalg, rootdata
 
 DIMENSION_CAP = 400
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def weyl_dimension(datum, lam):
@@ -39,63 +38,6 @@ def weyl_dimension(datum, lam):
         raise AssertionError("Weyl dimension %d/%d is not an integer"
                              % (num, den))
     return num // den
-
-
-# ---------------------------------------------------------------------------
-# Verma-quotient machinery
-
-
-class _Verma:
-    """Formal Verma module combinatorics for highest weight lam."""
-
-    def __init__(self, datum, lam):
-        self.datum = datum
-        self.lam = tuple(int(v) for v in lam)
-        self._e_memo = {}
-        self._shap_memo = {}
-
-    def word_weight(self, word):
-        w = list(self.lam)
-        for i in word:
-            row = self.datum.pairing[i]
-            for j in range(self.datum.n):
-                w[j] -= row[j]
-        return tuple(w)
-
-    def e_apply(self, i, word):
-        """Expansion of e_i . f_word as a tuple of (word, coeff)."""
-        key = (i, word)
-        hit = self._e_memo.get(key)
-        if hit is not None:
-            return hit
-        if not word:
-            out = ()
-        else:
-            j, rest = word[0], word[1:]
-            acc = {}
-            for w2, c in self.e_apply(i, rest):
-                k = (j,) + w2
-                acc[k] = acc.get(k, 0) + c
-            if i == j:
-                c = self.word_weight(rest)[i]
-                if c:
-                    acc[rest] = acc.get(rest, 0) + c
-            out = tuple((w, c) for w, c in acc.items() if c)
-        self._e_memo[key] = out
-        return out
-
-    def shap(self, u, w):
-        """Contravariant form <f_u v, f_w v> on the Verma module."""
-        if not u:
-            return int(not w)
-        key = (u, w) if u <= w else (w, u)
-        hit = self._shap_memo.get(key)
-        if hit is not None:
-            return hit
-        val = sum(c * self.shap(u[1:], w2)
-                  for w2, c in self.e_apply(u[0], w))
-        self._shap_memo[key] = val
-        return val
 
 
 @dataclass
@@ -149,6 +91,17 @@ class DimensionCapError(ValueError):
 
 
 def _build_irreducible(datum, lam):
+    """The irreducible module of highest weight lam, built level by level.
+
+    A level's candidates are the f_j v_b, v_b a basis vector of the level
+    above, in order of (weight, f-word).  Their e-images are read off the
+    stored actions, e_i f_j v_b = f_j (e_i v_b) + delta_ij <wt v_b,
+    alpha_i^vee> v_b.  Below lam no nonzero vector is killed by every e_i,
+    so candidates of one weight are independent exactly when their
+    e-images are: one echelon of the e-image columns per weight picks the
+    first independent candidates as basis vectors, and its reduced rows
+    give every other candidate's f-image.  The contravariant form follows
+    from <f_j v_b, v_c> = <v_b, e_j v_c>."""
     lam = tuple(int(v) for v in lam)
     if any(v < 0 for v in lam):
         raise ValueError("highest weight must be dominant integral")
@@ -156,65 +109,72 @@ def _build_irreducible(datum, lam):
     if dim > DIMENSION_CAP:
         raise DimensionCapError("module dimension %d (Weyl formula) exceeds "
                                 "cap %d" % (dim, DIMENSION_CAP))
-    vm = _Verma(datum, lam)
-
-    level = [()]
-    basis = [()]
-    while True:
-        cands = sorted({(i,) + b for b in level for i in range(datum.n)},
-                       key=lambda w: (vm.word_weight(w), w))
-        by_weight = {}
-        for w in cands:
-            by_weight.setdefault(vm.word_weight(w), []).append(w)
-        new_level = []
-        for mu in sorted(by_weight, reverse=True):
-            group = by_weight[mu]
-            g = [[vm.shap(a, b) for b in group] for a in group]
-            new_level.extend(group[p] for p in linalg._echelon(g)[1])
-        if not new_level:
-            break
-        level = new_level
-        basis.extend(level)
-        if len(basis) > dim:
-            raise AssertionError("basis exceeded Weyl dimension")
+    n = datum.n
+    basis, weights = [()], [lam]     # f-words and their weights
+    e_img = [{}]     # b -> {(i, a): v_a's coefficient in e_i v_b}
+    f_img = {}       # (j, b) -> {a: v_a's coefficient in f_j v_b}
+    gram = [[0] * dim for _ in range(dim)]
+    gram[0][0] = 1
+    level = [0]
+    while level:
+        cands = sorted(
+            (tuple(w - x for w, x in zip(weights[b], datum.pairing[j])),
+             (j,) + basis[b], j, b) for b in level for j in range(n))
+        groups = {}
+        for mu, _, j, b in cands:
+            groups.setdefault(mu, []).append((j, b))
+        level = []
+        for mu in sorted(groups, reverse=True):
+            group = groups[mu]
+            images = []
+            for j, b in group:
+                img = {}
+                for (i, a), c in e_img[b].items():
+                    for x, y in f_img[j, a].items():
+                        img[i, x] = img.get((i, x), ZERO) + c * y
+                if weights[b][j]:
+                    img[j, b] = img.get((j, b), ZERO) + weights[b][j]
+                images.append({k: v for k, v in img.items() if v})
+            keys = sorted({k for img in images for k in img})
+            if not keys:
+                f_img.update(((j, b), {}) for j, b in group)
+                continue
+            m, pivots, d, _ = linalg._echelon(
+                [[img.get(k, ZERO) for img in images] for k in keys])
+            new = range(len(basis), len(basis) + len(pivots))
+            if new.stop > dim:
+                raise AssertionError("basis exceeded Weyl dimension")
+            for col, (j, b) in enumerate(group):
+                f_img[j, b] = {p: Fraction(row[col], d)
+                               for p, row in zip(new, m) if row[col]}
+            for col in pivots:
+                j, b = group[col]
+                basis.append((j,) + basis[b])
+                weights.append(mu)
+                e_img.append(images[col])
+            # <v_p, v_q> = <f_j v_b, v_q> = <v_b, e_j v_q>
+            for p, col in zip(new, pivots):
+                j, b = group[col]
+                for q in new:
+                    g = sum(c * gram[b][a]
+                            for (i, a), c in e_img[q].items() if i == j)
+                    if g.denominator != 1 or q < p and gram[q][p] != g:
+                        raise AssertionError("contravariant form is not an "
+                                             "integer symmetric matrix")
+                    gram[p][q] = int(g)
+            level += new
     if len(basis) != dim:
         raise AssertionError("module basis has %d vectors, Weyl dimension "
                              "is %d" % (len(basis), dim))
 
-    weights = [vm.word_weight(b) for b in basis]
-    index_by_weight = {}
-    for idx, mu in enumerate(weights):
-        index_by_weight.setdefault(mu, []).append(idx)
-
-    # per weight space nu: the Gram block, read once, and one solve for
-    # every e_i and f_i image landing in nu, each as its column (<b_a, x>)_a
-    gram = [[0] * dim for _ in range(dim)]
-    act_e = [[{} for _ in range(dim)] for _ in range(datum.n)]
-    act_f = [[{} for _ in range(dim)] for _ in range(datum.n)]
-    for nu, idxs in index_by_weight.items():
-        rows = [basis[a] for a in idxs]
-        block = [[vm.shap(u, w) for w in rows] for u in rows]
-        for a, row in zip(idxs, block):
-            for b, v in zip(idxs, row):
-                gram[a][b] = v
-        targets, columns = [], []
-        for i, alpha in enumerate(datum.pairing):
-            for col in index_by_weight.get(
-                    tuple(v + x for v, x in zip(nu, alpha)), ()):
-                targets.append((act_f[i], col))
-                columns.append([vm.shap(u, (i,) + basis[col]) for u in rows])
-            for col in index_by_weight.get(
-                    tuple(v - x for v, x in zip(nu, alpha)), ()):
-                expansion = vm.e_apply(i, basis[col])
-                targets.append((act_e[i], col))
-                columns.append([sum(c * vm.shap(u, w) for w, c in expansion)
-                                for u in rows])
-        rhs = [[column[k] for column in columns] for k in range(len(idxs))]
-        solved = linalg.solve_matrix(block, rhs)
-        for (act, col), coeffs in zip(targets, zip(*solved)):
-            for a, c in zip(idxs, coeffs):
-                act[a][col] = c
-
+    act_e = [[{} for _ in range(dim)] for _ in range(n)]
+    act_f = [[{} for _ in range(dim)] for _ in range(n)]
+    for b, img in enumerate(e_img):
+        for (i, a), v in img.items():
+            act_e[i][a][b] = v
+    for (j, b), img in f_img.items():
+        for a, v in img.items():
+            act_f[j][a][b] = v
     return WeightModule(
         datum=datum,
         highest_weight=lam,
@@ -280,12 +240,16 @@ class ChevalleyBasis:
         return out
 
 
-def commutator(a, b, scale=ONE):
-    """scale * (ab - ba) for matrices given as sparse rows (see
-    sparse_rows; as in WeightModule.act_e), in the same format.  Only
-    nonzero products are formed; the entries may be of any number type."""
+def commutator(a, b):
+    """ab - ba for matrices given as sparse rows (see sparse_rows; as in
+    WeightModule.act_e), in the same format.  Only nonzero products are
+    formed; the entries may be of any number type, and integer rows give
+    integer rows."""
     out = []
     for ra, rb in zip(a, b):
+        if not (ra or rb):
+            out.append(())
+            continue
         acc = {}
         for t, x in ra:
             for c, y in b[t]:
@@ -293,7 +257,7 @@ def commutator(a, b, scale=ONE):
         for t, x in rb:
             for c, y in a[t]:
                 acc[c] = acc.get(c, 0) - x * y
-        out.append(tuple((c, scale * v) for c, v in sorted(acc.items()) if v))
+        out.append(tuple((c, v) for c, v in sorted(acc.items()) if v))
     return tuple(out)
 
 
@@ -308,6 +272,29 @@ def combination(terms, dim):
     return sparse_rows(acc)
 
 
+def scaled(rows, k):
+    """k * rows for sparse rows, as sparse rows."""
+    return tuple(tuple((c, k * v) for c, v in row if k) for row in rows)
+
+
+def integer_rows(mats):
+    """Sparse rational matrices as integer sparse rows over the least
+    common denominator den of their entries: (the integer rows of each
+    matrix, den)."""
+    nums, den = linalg.integer_row(
+        [v for rows in mats for row in rows for _, v in row])
+    values = iter(nums)
+    return tuple(tuple(tuple((c, next(values)) for c, _ in row)
+                       for row in rows) for rows in mats), den
+
+
+def lowest_terms(rows, den):
+    """Integer sparse rows over a positive den, divided through by the gcd
+    of den and every entry."""
+    g = gcd(den, *(v for row in rows for _, v in row))
+    return tuple(tuple((c, v // g) for c, v in row) for row in rows), den // g
+
+
 def _smallest_fundamental_module(datum, comp):
     """A faithful fundamental module of a component: its smallest one."""
     best = None
@@ -320,6 +307,13 @@ def _smallest_fundamental_module(datum, comp):
 
 
 def chevalley_basis(datum):
+    """Root vectors as commutators in a small faithful module per Dynkin
+    component, and the bracket table read off them.
+
+    Every root vector is integer sparse rows over one denominator, (rows,
+    den): the simple ones share the module's common denominator, and each
+    commutator runs in integers and is brought to lowest terms.  Every
+    comparison of two such matrices is cross-multiplied."""
     n = datum.n
     roots = datum.positive_roots
     root_index = {r: k for k, r in enumerate(roots)}
@@ -330,6 +324,10 @@ def chevalley_basis(datum):
 
     def is_root(vec):
         return vec in root_set or tuple(-v for v in vec) in root_set
+
+    def same(a, b):
+        """Whether (rows, den) pairs a and b are the same matrix."""
+        return scaled(a[0], b[1]) == scaled(b[0], a[1])
 
     comps = rootdata.dynkin_components(datum)
 
@@ -342,11 +340,11 @@ def chevalley_basis(datum):
         mod = _smallest_fundamental_module(datum, comp)
         modules[mod.highest_weight] = mod
         dim = mod.dimension
-        emat = {}
-        fmat = {}
-        for i in comp:
-            emat[simple_index[i]] = mod.act_e[i]
-            fmat[simple_index[i]] = mod.act_f[i]
+        rows, den = integer_rows([mod.act_e[i] for i in comp]
+                                 + [mod.act_f[i] for i in comp])
+        emat = {simple_index[i]: (e, den) for i, e in zip(comp, rows)}
+        fmat = {simple_index[i]: (f, den)
+                for i, f in zip(comp, rows[len(comp):])}
 
         comp_root_idxs = [root_index[r] for r in
                           rootdata.positive_roots_supported_on(datum, comp)]
@@ -365,36 +363,37 @@ def chevalley_basis(datum):
             while is_root(tuple(beta[j] - (p + 1) * (j == i)
                                 for j in range(n))):
                 p += 1
-            div = Fraction(p + 1)
-            egam = commutator(emat[simple_index[i]], emat[bidx], ONE / div)
+            div = p + 1
+            (ea, da), (eb, db) = emat[simple_index[i]], emat[bidx]
+            egam, de = lowest_terms(commutator(ea, eb), div * da * db)
             if not any(egam):
                 raise AssertionError("root vector %d vanishes" % idx)
-            fgam = commutator(fmat[simple_index[i]], fmat[bidx], ONE / div)
-            h = commutator(egam, fgam)
-            cor = coroots[idx]
+            (fa, da), (fb, db) = fmat[simple_index[i]], fmat[bidx]
+            fgam, df = lowest_terms(commutator(fa, fb), div * da * db)
+            h = (commutator(egam, fgam), de * df)
+            cor, cden = linalg.integer_row(coroots[idx])
             expected = tuple(((k, d),) if d else () for k, d in enumerate(
-                sum(Fraction(w[j]) * cor[j] for j in range(n))
-                for w in mod.weights))
-            if h == expected:
+                sum(w[j] * cor[j] for j in range(n)) for w in mod.weights))
+            if same(h, (expected, cden)):
                 fsign = 1
-            elif h == combination([(-1, expected)], dim):
+            elif same(h, (expected, -cden)):
                 fsign = -1
-                fgam = combination([(-1, fgam)], dim)
+                fgam = scaled(fgam, -1)
             else:
                 raise AssertionError("coroot normalization failed")
-            defpair[idx] = (i, bidx, int(div), fsign)
-            emat[idx] = egam
-            fmat[idx] = fgam
+            defpair[idx] = (i, bidx, div, fsign)
+            emat[idx] = egam, de
+            fmat[idx] = fgam, df
 
         # read off the nonzero brackets on this component
         labeled = ([(('e', idx), roots[idx], emat[idx]) for idx in comp_root_idxs]
                    + [(('f', idx), tuple(-v for v in roots[idx]), fmat[idx])
                       for idx in comp_root_idxs])
         mats = {lab: m for lab, _, m in labeled}
-        hmats = {i: commutator(emat[simple_index[i]], fmat[simple_index[i]])
-                 for i in comp}
-        for la, va, ma in labeled:
-            for lb, vb, mb in labeled:
+        hmats = {i: commutator(emat[simple_index[i]][0],
+                               fmat[simple_index[i]][0]) for i in comp}
+        for la, va, (ma, da) in labeled:
+            for lb, vb, (mb, db) in labeled:
                 if la >= lb:
                     continue
                 c = commutator(ma, mb)
@@ -404,21 +403,24 @@ def chevalley_basis(datum):
                     cor = coroots[idx]
                     coeffs = {('h', j): (cor[j] if la[0] == 'e' else -cor[j])
                               for j in comp if cor[j]}
+                    nums, cden = linalg.integer_row(list(coeffs.values()))
                     check = combination(
-                        [(cj, hmats[lab[1]]) for lab, cj in coeffs.items()],
+                        [(cj, hmats[lab[1]]) for lab, cj in zip(coeffs, nums)],
                         dim)
-                    if c != check:
+                    if not same((c, da * db), (check, den * den * cden)):
                         raise AssertionError("h-part bracket mismatch")
                     brackets[(la, lb)] = coeffs
                 elif is_root(s):
                     tgt = (('e', root_index[s]) if s in root_set
                            else ('f', root_index[tuple(-v for v in s)]))
-                    tm = mats[tgt]
+                    tm, dt = mats[tgt]
                     r, (col, v) = next((r, row[0])
                                        for r, row in enumerate(tm) if row)
-                    scal = dict(c[r]).get(col, ZERO) / v
-                    if c != combination([(scal, tm)], dim):
+                    x = dict(c[r]).get(col, 0)
+                    # c / (da db) = scal * tm / dt, scal = x dt / (da db v)
+                    if scaled(c, v) != scaled(tm, x):
                         raise AssertionError("bracket not a root vector")
+                    scal = Fraction(x * dt, da * db * v)
                     if scal.denominator != 1:
                         raise AssertionError("non-integral structure constant")
                     if scal:

@@ -109,8 +109,9 @@ def build_polytope(datum, lam):
 
     Vertex J has lambda's simple-root coordinates outside J and pairs to 0
     with alpha_j^vee for j in J, so one |J| x |J| solve on the Levi's
-    Cartan block gives its simple-root coordinates.  The face ranks run
-    on the vertices as integer numerators over one denominator."""
+    Cartan block gives its simple-root coordinates, and its weight
+    coordinates are their integer pairings over one denominator.  The face
+    ranks run on the vertices as integer numerators over one denominator."""
     n = datum.n
     lam = _regular(lam)
     lam_alpha = datum.weight_to_root_coords(lam)
@@ -124,7 +125,9 @@ def build_polytope(datum, lam):
             sol = linalg.solve([[pairing[i][j] for i in J] for j in J], rhs)
             for i, c in zip(J, sol):
                 alpha[i] = c
-        verts[J] = datum.root_to_weight_coords(alpha)
+        nums, den = linalg.integer_row(alpha)
+        verts[J] = tuple(Fraction(sum(map(mul, nums, col)), den)
+                         for col in zip(*pairing))
         vertex_alpha[verts[J]] = tuple(alpha)
     poly = HPolytope(datum=datum, lam=lam, vertices=verts,
                      cap_values=lam_alpha, vertex_alpha=vertex_alpha)
@@ -159,7 +162,8 @@ def cube_check(lattice):
 
     A cube face is encoded per coordinate as '0', '1' or '*'; the map
     sends (K, J) to (0 for i in K, 1 for i outside J, * for i in J-K).
-    Returns (ok, iso dict).
+    The map must be a bijection onto all 3^n codes.  Returns (ok, iso
+    dict).
     """
     labels = sorted(lattice.faces)
     n = len(max((j for _, j in labels), key=len)) if labels else 0
@@ -170,7 +174,7 @@ def cube_check(lattice):
                      for i in range(n))
 
     iso = {label: to_cube(label) for label in labels}
-    if len(set(iso.values())) != len(labels):
+    if len(set(iso.values())) != len(labels) or len(labels) != 3 ** n:
         return False, iso
     # bitmasks: a face's vertex set, and its code's '*' and '1' places.
     # Cube face a lies in b when b has '*' wherever a has '*' or differs.

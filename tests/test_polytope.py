@@ -59,6 +59,19 @@ def test_cube_check_detects_broken_lattice():
     assert not ok
 
 
+@pytest.mark.parametrize("face", [((0,), (0, 1)), ((), (0, 1))])
+def test_cube_check_needs_every_cube_code(face):
+    """A lattice that misses one face misses its cube code, so cube_check
+    refuses it: A2 at rho with the face ((0,), (0, 1)), or the top face,
+    deleted."""
+    datum = _datum("A2")
+    _, lattice = polytope.build_polytope(datum, (F(1), F(1)))
+    faces = {k: f for k, f in lattice.faces.items() if k != face}
+    assert len(faces) == 8
+    ok, _ = polytope.cube_check(polytope.FaceLattice(faces=faces))
+    assert not ok
+
+
 def test_normal_fan_matches_sigma():
     """The normalfan suite compares tau_{K,J} with sigma_{K, complement of
     J} once per face: 3^n cases, none failing."""

@@ -102,7 +102,8 @@ def test_exact_layers_have_no_float_literals():
     assert not found, "float literals in exact layers: " + ", ".join(found)
 
 
-INTEGER_KERNEL = ("_int_exp_apply", "_mat_vec", "Rep.apply_word")
+INTEGER_KERNEL = ("_int_exp_apply", "_mat_vec", "Rep.apply_word",
+                  "Rep._int_matrix")
 
 
 def test_integer_kernel_names_no_fraction():
