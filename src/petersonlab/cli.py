@@ -295,7 +295,7 @@ def cmd_polytope_build(args):
             print("  J=%s: %s" % ([i + 1 for i in J],
                                   [_render(v) for v in poly.vertices[J]]))
         print("faces: %d (an n-cube has 3^n)" % len(lattice.faces))
-        ok, _ = polytope.cube_check(lattice)
+        ok, _ = polytope.cube_check(lattice, poly.datum.n)
         print("cube isomorphism:", ok)
     return 0
 
@@ -350,7 +350,7 @@ def cmd_toric_moment(args):
         "type": args.type,
         "lambda": [_render(v) for v in poly.lam],
         "dilate": data.dilate,
-        "moment": ["%.12f" % (v / den) for v in sums],
+        "moment": ["%.12f" % (v / den) for v in sums[:len(p.x)]],
     }
     if args.json:
         sys.stdout.write(_dumps(out))

@@ -17,7 +17,7 @@ integer double-description routine.  No step uses floating point.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import countOf, le, mul
+from operator import countOf, le, mul, sub
 
 from . import linalg, rootdata
 
@@ -67,19 +67,18 @@ def build_fan(datum):
 
 @dataclass(frozen=True)
 class HPolytope:
+    """P^lambda with each vertex J stored once, as its slack row: 2n
+    integers over the dilate N, first the walls N <v, alpha_i^vee> (N v
+    in weight coordinates), then the caps N <w_i^vee, lambda - v>.  These
+    are the vertex's Cox exponents, one per facet (Fulton, Introduction to
+    Toric Varieties, 1993, sec. 4.2), and every reader of the polytope
+    takes its integers from them.  The Fraction vertices serve the
+    exports and the hull-oracle comparison."""
     datum: object
     lam: tuple           # fundamental-weight coordinates, regular dominant
     vertices: dict       # J (sorted tuple) -> point tuple
-    cap_values: tuple    # <w_i^vee, lambda> per i
-    vertex_alpha: dict   # vertex point -> its simple-root coordinates
-
-    def wall_value(self, i, point):
-        return Fraction(point[i])
-
-    def cap_value(self, i, point):
-        """<w_i^vee, point> at a vertex, read from the coordinates
-        build_polytope computes once per vertex."""
-        return self.vertex_alpha[point][i]
+    dilate: int          # N, the least that makes every slack an integer
+    slacks: dict         # J -> the 2n slacks of vertex J, times N
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,16 @@ def build_polytope(datum, lam):
 
     Vertex J has lambda's simple-root coordinates outside J and pairs to 0
     with alpha_j^vee for j in J, so one |J| x |J| solve on the Levi's
-    Cartan block gives its simple-root coordinates, and its weight
-    coordinates are their integer pairings over one denominator.  The face
-    ranks run on the vertices as integer numerators over one denominator."""
+    Cartan block gives its simple-root coordinates.  Over their one
+    denominator N, the caps are lambda's numerators minus the vertex's,
+    and the walls the vertex's integer pairings.  The vertex check reads
+    the slacks' signs, and the face ranks their differences: the slack
+    map is affine and injective, so it keeps every rank."""
     n = datum.n
     lam = _regular(lam)
     lam_alpha = datum.weight_to_root_coords(lam)
     pairing = datum.pairing
-    verts, vertex_alpha = {}, {}
+    alphas = {}
     for J in rootdata.subsets(range(n)):
         alpha = list(lam_alpha)
         if J:
@@ -125,27 +126,25 @@ def build_polytope(datum, lam):
             sol = linalg.solve([[pairing[i][j] for i in J] for j in J], rhs)
             for i, c in zip(J, sol):
                 alpha[i] = c
-        nums, den = linalg.integer_row(alpha)
-        verts[J] = tuple(Fraction(sum(map(mul, nums, col)), den)
-                         for col in zip(*pairing))
-        vertex_alpha[verts[J]] = tuple(alpha)
-    poly = HPolytope(datum=datum, lam=lam, vertices=verts,
-                     cap_values=lam_alpha, vertex_alpha=vertex_alpha)
-    for J, v in verts.items():
-        for i in range(n):
-            if poly.wall_value(i, v) < 0 or \
-                    poly.cap_value(i, v) > lam_alpha[i]:
-                raise AssertionError("vertex %s = %s violates inequality %d"
-                                     % (J, v, i))
-
-    flat, _ = linalg.integer_row([c for v in verts.values() for c in v])
-    nums = {J: flat[k:k + n] for J, k in zip(verts, range(0, len(flat), n))}
+        alphas[J] = alpha
+    flat, N = linalg.integer_row([a for alpha in alphas.values()
+                                  for a in alpha])
+    rows = {J: flat[k:k + n] for J, k in zip(alphas, range(0, len(flat), n))}
+    slacks = {J: tuple(sum(map(mul, row, col)) for col in zip(*pairing))
+              + tuple(map(sub, rows[()], row)) for J, row in rows.items()}
+    for J, row in slacks.items():
+        if min(row) < 0:
+            raise AssertionError("vertex %s has slacks %s" % (J, row))
+    verts = {J: tuple(Fraction(w, N) for w in row[:n])
+             for J, row in slacks.items()}
+    poly = HPolytope(datum=datum, lam=lam, vertices=verts, dilate=N,
+                     slacks=slacks)
     faces = {}
     for J in rootdata.subsets(range(n)):
         for K in rootdata.subsets(J):
             vjs = tuple(sorted(
                 J2 for J2 in verts if set(K) <= set(J2) <= set(J)))
-            base, *rest = (nums[j2] for j2 in vjs)
+            base, *rest = (slacks[j2] for j2 in vjs)
             dim = linalg.rank([[x - y for x, y in zip(p, base)]
                                for p in rest])
             if dim != len(J) - len(K):
@@ -157,7 +156,7 @@ def build_polytope(datum, lam):
     return poly, FaceLattice(faces=faces)
 
 
-def cube_check(lattice):
+def cube_check(lattice, n):
     """Explicit poset isomorphism with the face poset of the n-cube.
 
     A cube face is encoded per coordinate as '0', '1' or '*'; the map
@@ -166,7 +165,6 @@ def cube_check(lattice):
     dict).
     """
     labels = sorted(lattice.faces)
-    n = len(max((j for _, j in labels), key=len)) if labels else 0
 
     def to_cube(label):
         K, J = label
@@ -192,19 +190,16 @@ def cube_check(lattice):
 
 
 def normal_fan(poly, lattice):
-    """Cones of outward facet normals, computed from vertex incidences."""
+    """Cones of outward facet normals, computed from vertex incidences: a
+    face's active inequalities are the slacks zero on all its vertices."""
     datum = poly.datum
     n = datum.n
     cones = {}
     for (K, J), face in lattice.faces.items():
-        pts = [poly.vertices[j2] for j2 in face.vertex_js]
-        active_walls = [i for i in range(n)
-                        if all(poly.wall_value(i, p) == 0 for p in pts)]
-        active_caps = [i for i in range(n)
-                       if all(poly.cap_value(i, p) == poly.cap_values[i]
-                              for p in pts)]
-        rays = tuple(minus_coroot_ray(datum, i) for i in active_walls) + \
-            tuple(coweight_ray(datum, i) for i in active_caps)
+        active = [i for i in range(2 * n)
+                  if not any(poly.slacks[j2][i] for j2 in face.vertex_js)]
+        rays = tuple(minus_coroot_ray(datum, i) if i < n
+                     else coweight_ray(datum, i - n) for i in active)
         cones[(K, J)] = Cone(label=(K, J), rays=rays)
     return Fan(datum=datum, cones=cones)
 

@@ -111,11 +111,10 @@ class MomentData:
 
 
 def moment_data(poly):
-    """The 2^n vertices of N * P^lambda as exponent tuples, N the least
-    dilate that makes the simple-root coordinates build_polytope solved
-    for each vertex integers.  The vertex N v has x exponents N v, its
-    fundamental-weight coordinates and the weight the moment map
-    averages, and y exponents N (lambda - v) in simple-root coordinates.
+    """The 2^n vertices of N * P^lambda as exponent tuples, N the dilate
+    build_polytope stored: each vertex's slack row, whose x exponents are
+    N v, its fundamental-weight coordinates, and whose y exponents are
+    N <w_i^vee, lambda - v>, its cap slacks.
 
     The vertices are enough.  For any finite set A of lattice points
     whose convex hull is P, and any positive weights, the algebraic moment
@@ -125,23 +124,21 @@ def moment_data(poly):
     Fulton, Introduction to Toric Varieties, 1993, sec. 4.2).
 
     Raises ValueError where an exponent is over EXPONENT_CAP."""
-    _, N = linalg.integer_row([a for v in poly.vertex_alpha.values()
-                               for a in v])
-    pts = sorted(tuple(int(N * c) for c in v)
-                 + tuple(int(N * (m - a)) for m, a in zip(poly.cap_values,
-                                                          alpha))
-                 for v, alpha in poly.vertex_alpha.items())
+    pts = sorted(poly.slacks.values())
     top = tuple(map(max, zip(*pts)))
     if max(top) > EXPONENT_CAP:
         raise ValueError("the moment map on N P^lambda (N = %d) needs an "
-                         "exponent over the cap %d" % (N, EXPONENT_CAP))
-    return MomentData(dilate=N, points=tuple(pts), top=top)
+                         "exponent over the cap %d"
+                         % (poly.dilate, EXPONENT_CAP))
+    return MomentData(dilate=poly.dilate, points=tuple(pts), top=top)
 
 
 def moment_sums(p, data):
-    """(sums, den): the weighted character sums sum_v chi_v(p) v of
-    `data = moment_data(poly)` as integers over the one denominator
-    den = N sum_v chi_v(p), so that the moment image is sums / den.
+    """(sums, den): the weighted character sums sum_v chi_v(p) s_v of the
+    2n slacks s_v of each vertex of `data = moment_data(poly)`, as
+    integers over the one denominator den = N sum_v chi_v(p).  The slacks
+    are affine in the point, so sums / den are the slacks of the moment
+    image: its fundamental-weight coordinates, then its cap slacks.
 
     A coordinate num/den with largest exponent t enters a character with
     exponent e as the integer num^e den^(t-e), taken only for the
@@ -157,13 +154,20 @@ def moment_sums(p, data):
     total = sum(chis)
     if not total:
         raise AssertionError("character sum vanished")
-    # the x exponents are the weights
-    return (tuple(sum(map(mul, chis, w)) for w in cols[:len(p.x)]),
-            total * data.dilate)
+    return tuple(sum(map(mul, chis, s)) for s in cols), total * data.dilate
+
+
+def moment_face(sums):
+    """The face (K, J) of P^lambda whose relative interior holds the
+    moment image with these slack sums: K the walls it lies on, J the caps
+    it misses.  No sum is negative, so the zero pattern is the face."""
+    n = len(sums) // 2
+    return (tuple(i for i in range(n) if not sums[i]),
+            tuple(i for i in range(n) if sums[n + i]))
 
 
 def moment_map(p, data):
     """The vertex average of moment_sums, exactly, as Fractions on
-    P^lambda."""
+    P^lambda: the first n sums over their denominator."""
     sums, den = moment_sums(p, data)
-    return tuple(Fraction(s, den) for s in sums)
+    return tuple(Fraction(s, den) for s in sums[:len(p.x)])

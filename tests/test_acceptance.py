@@ -55,7 +55,7 @@ def test_01_cube_theorem():
                       if f.dim == n - 1) == 2 * n
             ok &= all(f.dim == len(f.J) - len(f.K)
                       for f in lattice.faces.values())
-            iso_ok, _ = polytope.cube_check(lattice)
+            iso_ok, _ = polytope.cube_check(lattice, n)
             ok &= iso_ok
     elapsed = time.monotonic() - start
     ok &= elapsed < 30.0

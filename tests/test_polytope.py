@@ -28,7 +28,7 @@ def test_a1_polytope_is_segment():
     poly, lattice = polytope.build_polytope(datum, (F(1),))
     assert sorted(poly.vertices.values()) == [(F(0),), (F(1),)]
     assert len(lattice.faces) == 3
-    ok, _ = polytope.cube_check(lattice)
+    ok, _ = polytope.cube_check(lattice, 1)
     assert ok
 
 
@@ -55,7 +55,7 @@ def test_cube_check_detects_broken_lattice():
     broken = dict(lattice.faces)
     a, b = ((), ()), ((0,), (0,))
     broken[a], broken[b] = broken[b], broken[a]
-    ok, _ = polytope.cube_check(polytope.FaceLattice(faces=broken))
+    ok, _ = polytope.cube_check(polytope.FaceLattice(faces=broken), 2)
     assert not ok
 
 
@@ -68,7 +68,22 @@ def test_cube_check_needs_every_cube_code(face):
     _, lattice = polytope.build_polytope(datum, (F(1), F(1)))
     faces = {k: f for k, f in lattice.faces.items() if k != face}
     assert len(faces) == 8
-    ok, _ = polytope.cube_check(polytope.FaceLattice(faces=faces))
+    ok, _ = polytope.cube_check(polytope.FaceLattice(faces=faces), 2)
+    assert not ok
+
+
+@pytest.mark.parametrize("name, keep, count",
+                         [("A2", {0}, 3), ("A3", {0, 1}, 9)])
+def test_cube_check_refuses_a_lattice_cut_to_fewer_nodes(name, keep, count):
+    """A lattice that has lost every face touching the last node is the
+    face lattice of a smaller cube, not of the n-cube: cube_check reads n
+    from the datum, not from the labels left."""
+    datum = _datum(name)
+    _, lattice = polytope.build_polytope(datum, (F(1),) * datum.n)
+    faces = {(K, J): f for (K, J), f in lattice.faces.items()
+             if set(J) <= keep}
+    assert len(faces) == count
+    ok, _ = polytope.cube_check(polytope.FaceLattice(faces=faces), datum.n)
     assert not ok
 
 
@@ -158,10 +173,9 @@ def test_vertices_lie_in_polytope():
     datum = _datum("C3")
     lam = (F(2), F(1), F(3, 2))
     poly, _ = polytope.build_polytope(datum, lam)
-    for v in poly.vertices.values():
-        for i in range(3):
-            assert poly.wall_value(i, v) >= 0
-            assert poly.cap_value(i, v) <= poly.cap_values[i]
+    assert len(poly.slacks) == 8
+    for row in poly.slacks.values():
+        assert len(row) == 6 and min(row) >= 0
 
 
 def test_extreme_rays_of_the_homogenised_square_and_its_polar():
@@ -258,12 +272,24 @@ def test_hull_oracle_work_on_d4(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(rootdata.CATALOG))
 def test_vertex_alpha_are_the_simple_root_coordinates(name):
-    """The Levi solve gives each vertex's simple-root coordinates: they
-    are weight_to_root_coords of the vertex, as Fractions."""
+    """The Levi solve gives each vertex's simple-root coordinates, which
+    its slack row holds: the caps are N (lambda - v) in simple-root
+    coordinates, read by the independent C^{-1} route of
+    weight_to_root_coords, and the walls are N v.  N is the least dilate
+    that makes them all integers."""
     datum = _datum(name)
     for lam in ((F(1),) * datum.n,
                 verify._random_regular_lambdas(datum, 1, 0)[0]):
         poly, _ = polytope.build_polytope(datum, lam)
-        for v, alpha in poly.vertex_alpha.items():
-            assert all(isinstance(c, F) for c in v + alpha)
-            assert alpha == datum.weight_to_root_coords(v)
+        N = poly.dilate
+        lam_alpha = datum.weight_to_root_coords(lam)
+        want = {}
+        for J, v in poly.vertices.items():
+            assert all(isinstance(c, F) for c in v)
+            alpha = datum.weight_to_root_coords(v)
+            want[J] = tuple(N * c for c in v) + \
+                tuple(N * (m - a) for m, a in zip(lam_alpha, alpha))
+            assert all(type(s) is int for s in poly.slacks[J])
+        assert poly.slacks == want
+        assert N == math.lcm(*(F(s, N).denominator
+                               for row in poly.slacks.values() for s in row))

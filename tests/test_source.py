@@ -205,8 +205,8 @@ UNCALLED_IN_SRC = {
     "grouprep.GroupElement.row_apply": "perfbench/tracing.py wraps it",
     "grouprep.tnn_membership_typeA": "perfbench/tracing.py wraps it",
     "verify._default_types": "perfbench reads each suite's types with it",
-    "peterson.peterson_membership": "lemma53 is to check it (ROADMAP items "
-                                    "6 and 11)",
+    "peterson.peterson_membership": "lemma53 is to check it (ROADMAP item "
+                                    "12)",
     "polytope._exact_hull_facets": "the general double description that "
                                    "tests compare the symmetric facets with",
     "polytope.weyl_orbit": "the Fraction orbit that tests hand to "

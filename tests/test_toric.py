@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from petersonlab import polytope, rootdata, toric
+from petersonlab import linalg, polytope, rootdata, toric
 
 F = Fraction
 
@@ -247,15 +247,18 @@ def test_moment_data_refuses_exponents_over_the_cap():
 
 
 def test_moment_map_is_the_sums_over_their_denominator():
-    """moment_map is moment_sums over its one denominator, and both are
-    the vertex average as the definition reads it, on every stratum
-    pattern of random points."""
+    """moment_map is the first n of moment_sums over its one denominator,
+    and both are the vertex average as the definition reads it, on every
+    stratum pattern of random points; the last n sums over it are the cap
+    slacks <w_i^vee, lambda - mu>."""
     rng = random.Random(2)
     for name in ("A2", "B3", "G2", "A2xA1"):
         datum = _datum(name)
         n = datum.n
-        poly, _ = polytope.build_polytope(datum, (F(1),) * n)
+        lam = (F(1),) * n
+        poly, _ = polytope.build_polytope(datum, lam)
         data = toric.moment_data(poly)
+        lam_alpha = datum.weight_to_root_coords(lam)
         for _ in range(6):
             x = [rng.choice([0, F(rng.randint(1, 9), rng.randint(1, 9))])
                  for _ in range(n)]
@@ -263,9 +266,58 @@ def test_moment_map_is_the_sums_over_their_denominator():
                  else 0 for xi in x]
             p = toric.cox_point(x, y)
             sums, den = toric.moment_sums(p, data)
+            assert len(sums) == 2 * n
             mu = toric.moment_map(p, data)
-            assert mu == tuple(F(s, den) for s in sums)
+            assert mu == tuple(F(s, den) for s in sums[:n])
             assert mu == _vertex_average(p, data)
+            caps = tuple(m - a for m, a in
+                         zip(lam_alpha, datum.weight_to_root_coords(mu)))
+            assert caps == tuple(F(s, den) for s in sums[n:])
+
+
+def _face_by_pairing_inverse(datum, lam, num, d):
+    """The face of mu = num / d the way moment-cells once read it, and
+    whether mu is in its relative interior: mu's simple-root coordinates,
+    mu C^{-1}, are compared with lambda's, C^{-1} and lambda's coordinates
+    over one common denominator."""
+    n = datum.n
+    flat, _ = linalg.integer_row(
+        [v for row in datum.pairing_inverse for v in row]
+        + list(datum.weight_to_root_coords(lam)))
+    pinv = [flat[j * n:(j + 1) * n] for j in range(n)]
+    caps = flat[n * n:]
+    alpha = [sum(num[j] * pinv[j][i] for j in range(n)) for i in range(n)]
+    K = tuple(i for i in range(n) if num[i] == 0)
+    J = tuple(i for i in range(n) if alpha[i] != caps[i] * d)
+    strict = all(num[i] > 0 for i in range(n) if i not in K) and \
+        all(alpha[i] < caps[i] * d for i in J)
+    return (K, J), strict
+
+
+@pytest.mark.parametrize("name", list(rootdata.CATALOG))
+def test_moment_face_reads_the_face_of_the_pairing_inverse_route(name):
+    """On seeded Cox points of every stratum pattern, the face that
+    moment_face reads off the zero pattern of the slack sums is the one
+    mu C^{-1} gives, with mu in its relative interior, and it is the
+    point's stratum.  That moment-cells reports a swapped label (J, K) as
+    a failure is tests/test_verify.py's
+    test_moment_cells_reports_a_swapped_face."""
+    datum = _datum(name)
+    n = datum.n
+    lam = tuple(F(k + 2, 3) for k in range(n))
+    poly, _ = polytope.build_polytope(datum, lam)
+    data = toric.moment_data(poly)
+    rng = random.Random(11)
+    for _ in range(12):
+        J = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+        K = tuple(sorted(rng.sample(J, rng.randint(0, len(J)))))
+        x = [0 if i in K else F(rng.randint(1, 30), 10) for i in range(n)]
+        y = [F(rng.randint(1, 30), 10) if i in J else 0 for i in range(n)]
+        sums, den = toric.moment_sums(toric.cox_point(x, y), data)
+        got = toric.moment_face(sums)
+        assert _face_by_pairing_inverse(datum, lam, sums[:n], den) == \
+            (got, True)
+        assert got == (K, J)
 
 
 def test_moment_map_respects_torus_action_b3():

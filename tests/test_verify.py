@@ -7,7 +7,8 @@ import runpy
 
 import pytest
 
-from petersonlab import grouprep, peterson, polytope, rootdata, verify
+from petersonlab import (grouprep, peterson, polytope, rootdata, toric,
+                         verify)
 
 
 def test_unknown_suite_and_type():
@@ -126,6 +127,10 @@ def test_small_unit_reports_are_pinned():
                              "44fe3b2b3cd9b95c42f57f921721f53d",
         ("moment-cells", "G2"): "6f97dde227607c38a99cf44405c9155c"
                                 "72d3d57bde50a15589300c3284580aed",
+        ("normalfan", "D4"): "9372629df5c2a941fcfe322bf846fa13"
+                             "8523854b4768ac3d58971014cb2426b9",
+        ("moment-cells", "B3"): "deab785d6a7a376a1368a902dfca12dd"
+                                "63098e4146486609f2f9823d4c894e1e",
     }
     got = {}
     for suite, typ in pinned:
@@ -133,6 +138,19 @@ def test_small_unit_reports_are_pinned():
         text = json.dumps(rep.to_dict(), sort_keys=True)
         got[suite, typ] = hashlib.sha256(text.encode()).hexdigest()
     assert got == pinned
+
+
+def test_moment_cells_reports_a_swapped_face(monkeypatch):
+    """moment-cells compares each point's stratum (K, J) with the face its
+    moment image reads: with that face read back swapped, as (J, K), every
+    case whose K and J differ is a failure, and only those."""
+    cases = list(verify.suite_moment_cells("B2", 20, 0))
+    differ = sum(1 for case in cases[:-2] if case[2][0] != case[2][1])
+    assert all(case[0] for case in cases) and differ
+    face = toric.moment_face
+    monkeypatch.setattr(toric, "moment_face", lambda sums: face(sums)[::-1])
+    rep = verify.run_suite("moment-cells", "B2", seed=0, samples=20)
+    assert rep.cases == len(cases) and len(rep.failures) == differ
 
 
 def test_prop44_applies_only_the_sample(monkeypatch):
