@@ -289,7 +289,8 @@ def cmd_polytope_build(args):
         sys.stdout.write(_dumps(_facelattice_json(args.type, poly, lattice)))
         return 0
     if not args.off:
-        print("P^lambda for %s, lambda = %s" % (args.type, list(poly.lam)))
+        print("P^lambda for %s, lambda = [%s]"
+              % (args.type, ", ".join(map(_render, poly.lam))))
         print("vertices (%d):" % len(poly.vertices))
         for J in sorted(poly.vertices):
             print("  J=%s: %s" % ([i + 1 for i in J],

@@ -1,8 +1,9 @@
 """Group elements as exact matrices across modules, and the scalar
 functions built from them: fundamental minors, adjoint-type minors,
 adjoint-orbit coefficients, TNN samplers and the Workspace's integer
-polynomial forms, among them the matrix entries on each fundamental
-module that theorem59's TNN test reads.
+polynomial forms, among them the one form per J of the minors and the
+varying matrix entries on the fundamental modules that theorem59's
+certificate reads.
 
 A group element is a word in tokens
     ('x', i, t)   exp(t e_i)
@@ -254,10 +255,10 @@ def exp_element(elem):
 
 class Workspace:
     """Lazily built registry of the reps, longest elements, extremal
-    vectors, centralizer bases, Dynkin components, minor, q and matrix
-    polynomials, float Newton terms and weight polytopes of one root
-    datum, in one keyed store.  `peterson` keeps its Newton grid values
-    there too."""
+    vectors, centralizer bases, Dynkin components, minor, q, matrix and
+    certificate polynomials, float Newton terms and weight polytopes of
+    one root datum, in one keyed store.  `peterson` keeps its Newton grid
+    values there too."""
 
     def __init__(self, datum):
         self.datum = datum
@@ -362,8 +363,8 @@ class Workspace:
         row, as shared IntegerPolynomials, built once per (J, i): column c
         is the exp series from the unit vector v_c.  On a type-A
         component, V(w_k) = Lambda^k V(w_1), so the entries on node k are
-        the k x k minors of the matrix on node 1: theorem59's TNN test
-        reads them."""
+        the k x k minors of the matrix on node 1: certificate_polynomials
+        reads them for theorem59's TNN test."""
         J = tuple(sorted(set(J)))
 
         def build():
@@ -414,20 +415,61 @@ class Workspace:
                 for f, s in zip(series, signs)])
         return self._once(('q', J), build)
 
+    def certificate_polynomials(self, J):
+        """(form, slots, least): what theorem59's certificate of a point of
+        J evaluates, built once per J and shared.
+
+        form is one IntegerPolynomials: the n minor polynomials first,
+        then each distinct non-constant entry of matrix_polynomials(J, i),
+        i in J, that is no minor.  slots are the form's rows that the TNN
+        test reads, one per distinct non-constant entry: an entry equal to
+        a minor is read at that minor's row.  least is the least constant
+        entry, exact (0 where J is empty and there is none)."""
+        J = tuple(sorted(set(J)))
+
+        def build():
+            polys = self.minor_polynomials(J).rationals()
+            rows = {}
+            for r, f in enumerate(polys):
+                rows.setdefault(frozenset(f.items()), r)
+            slots, constants = set(), []
+            for i in J:
+                for f in self.matrix_polynomials(J, i).rationals():
+                    if not any(map(any, f)):
+                        constants.append(sum(f.values(), ZERO))
+                        continue
+                    key = frozenset(f.items())
+                    if key not in rows:
+                        rows[key] = len(polys)
+                        polys.append(f)
+                    slots.add(rows[key])
+            return (IntegerPolynomials(polys), tuple(sorted(slots)),
+                    min(constants, default=ZERO))
+        return self._once(('certificate', J), build)
+
     def newton_terms(self, J):
         """(values, gradients): each minor polynomial of J, and each of
         its partial derivatives, as (exponents, float coefficient) terms in
         the polynomial's own order, built once per J for a float Newton
-        iteration.  Each coefficient is one correctly rounded int division."""
+        iteration.  A partial derivative that is one constant term is
+        stored as its float coefficient alone, the value its term list
+        would sum to.  Each coefficient is one correctly rounded int
+        division."""
         J = tuple(sorted(set(J)))
+
+        def partial(f, k, den):
+            terms = [(e[:k] + (e[k] - 1,) + e[k + 1:], a * e[k] / den)
+                     for e, a in f if e[k]]
+            if len(terms) == 1 and not any(terms[0][0]):
+                return terms[0][1]
+            return terms
 
         def build():
             ip = self.minor_polynomials(J)
             polys = [[(ip.monomials[j][0], a) for j, a in f]
                      for f in ip.terms]
             return ([[(e, a / ip.den) for e, a in f] for f in polys],
-                    [[[(e[:k] + (e[k] - 1,) + e[k + 1:], a * e[k] / ip.den)
-                       for e, a in f if e[k]] for k in range(len(J))]
+                    [[partial(f, k, ip.den) for k in range(len(J))]
                      for f in polys])
         return self._once(('newton', J), build)
 
@@ -476,6 +518,11 @@ class IntegerPolynomials:
         self.terms = tuple(tuple((index[e], a.numerator
                                   * (self.den // a.denominator))
                                  for e, a in f.items()) for f in polys)
+
+    def rationals(self):
+        """The polynomials as {exponents: Fraction} dicts, as built."""
+        return [{self.monomials[j][0]: Fraction(a, self.den) for j, a in f}
+                for f in self.terms]
 
     def evaluate(self, nums, q):
         """(numerators, den * q**degree): the polynomials at the point

@@ -3,7 +3,8 @@ classification by vanishing minors, the map Psi into Cox coordinates,
 component splitting for reducible data, and low-rank Newton inversion
 of the minor map.  The minors and q-coefficients of a point are read off
 the integer forms `ws.minor_polynomials(J)` and `ws.q_polynomials(J)`,
-and the inversion is certified in integers.
+and the inversion is certified in integers off one form per J,
+`ws.certificate_polynomials(J)`.
 """
 
 from dataclasses import dataclass, replace
@@ -279,7 +280,9 @@ def invert_theorem59(ws, target, seed=0, grid_starts=True):
                 r = [_value(f, c) - t for f, t in zip(terms, target)]
                 if all(abs(v) < tol * 1e-2 for v in r):  # False on nan
                     return c, steps
-                jac = [[_value(d, c) for d in row] for row in grads]
+                # a constant partial derivative is stored as its value
+                jac = [[d if isinstance(d, float) else _value(d, c)
+                        for d in row] for row in grads]
                 step = _newton_solve(jac, r)
                 c = [a - b for a, b in zip(c, step)]
         except (ValueError, OverflowError):  # singular Jacobian, divergence
@@ -310,7 +313,11 @@ def invert_theorem59(ws, target, seed=0, grid_starts=True):
 
 @dataclass(frozen=True)
 class Certificate:
-    """What certify_theorem59 decides of one point."""
+    """What certify_theorem59 decides of one point.  tnn is True when
+    every entry of the unipotent part x on V(w_i), i in J, is at least
+    -INVERSION_TOL: the least constant entry of
+    `ws.certificate_polynomials(J)`, and each varying entry at the form
+    row that lists it."""
 
     minors: tuple      # integer numerators of Delta_1, ..., Delta_n over den
     den: int
@@ -324,23 +331,28 @@ def certify_theorem59(ws, p, target):
     """The exact certificate of a Peterson point p with rational (for a
     Newton root, dyadic) coordinates against the float target minors.
 
-    With the coordinates as integers nums over one denominator q, the
-    integer forms `ws.minor_polynomials` and `ws.matrix_polynomials` give
-    the fundamental minors and the matrix entries of the unipotent part x
-    on every fundamental module of J as numerators.  x is TNN when every
-    minor of its matrix on each component's first fundamental module is
-    at least -INVERSION_TOL.  On a type-A_m component those k x k minors
-    are exactly the entries of x on V(w_k) = Lambda^k V(w_1), the
-    generalized minors of Fomin-Zelevinsky (J. Amer. Math. Soc. 12,
-    1999), for k = 1, ..., m; the (m+1) x (m+1) minor is det x = 1.  So
-    every entry v / d of x on V(w_i), i in J, must pass v td >= -tn d,
-    tn / td = INVERSION_TOL.  The residual is one correctly rounded
+    x is TNN when every minor of its matrix on each component's first
+    fundamental module is at least -INVERSION_TOL.  On a type-A_m
+    component those k x k minors are exactly the entries of x on V(w_k) =
+    Lambda^k V(w_1), the generalized minors of Fomin-Zelevinsky (J. Amer.
+    Math. Soc. 12, 1999), for k = 1, ..., m; the (m+1) x (m+1) minor is
+    det x = 1.  So every entry of x on V(w_i), i in J, must be at least
+    -INVERSION_TOL.
+
+    `ws.certificate_polynomials(p.J)` holds the fundamental minors and the
+    distinct non-constant entries in one integer form, and the least
+    constant entry apart.  With the coordinates as integers nums over one
+    denominator q, one evaluation gives every numerator v over one d: the
+    minors are its first n rows, and each row that the form lists as an
+    entry must pass v td >= -tn d, tn / td = INVERSION_TOL, as must the
+    least constant entry v / d.  The residual is one correctly rounded
     integer division per minor."""
-    nums, q = linalg.integer_row(p.coords)
-    minors, den = ws.minor_polynomials(p.J).evaluate(nums, q)
+    form, slots, least = ws.certificate_polynomials(p.J)
+    vals, den = form.evaluate(*linalg.integer_row(p.coords))
+    minors = vals[:ws.datum.n]
     tn, td = INVERSION_TOL.as_integer_ratio()
-    tnn = all(v * td >= -tn * d for i in p.J
-              for vals, d in [ws.matrix_polynomials(p.J, i).evaluate(nums, q)]
-              for v in vals)
+    ln, ld = least.as_integer_ratio()
+    tnn = ln * td >= -tn * ld and all(vals[s] * td >= -tn * den
+                                      for s in slots)
     resid = max(abs(m / den - t) for m, t in zip(minors, target))
     return Certificate(tuple(minors), den, tnn, resid)

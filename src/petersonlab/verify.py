@@ -396,7 +396,9 @@ def run_suite(name, type_name=None, seed=0, samples=None):
     """Run one suite (or "all") and return a VerificationReport.  This is
     the one place that counts a suite's cases and attaches its claim.
     Given a type, "all" leaves out each suite that cannot run on it, and
-    a single suite that cannot raises ValueError before it runs."""
+    a single suite that cannot raises ValueError before it runs.  "all"
+    hands a sample count only to the suites that sample; a single suite
+    that samples nothing refuses one with ValueError."""
     if samples is not None and samples < 0:
         raise ValueError("sample count %d is negative" % samples)
     if samples == 0:
@@ -405,7 +407,8 @@ def run_suite(name, type_name=None, seed=0, samples=None):
         rep = VerificationReport("all", type_name or "all", seed)
         for sub in SUITE_CLAIMS:
             if not type_name or not _cannot_run(sub, type_name):
-                rep.merge(run_suite(sub, type_name, seed, samples))
+                count = None if SUITES[sub][1] is None else samples
+                rep.merge(run_suite(sub, type_name, seed, count))
         return rep
     if name not in SUITES:
         raise ValueError("unknown suite %r" % name)
@@ -413,6 +416,9 @@ def run_suite(name, type_name=None, seed=0, samples=None):
     reason = type_name and _cannot_run(name, type_name)
     if reason:
         raise ValueError(reason)
+    if default is None and samples is not None:
+        raise ValueError("suite %s samples nothing: it takes no sample "
+                         "count" % name)
     count = default if samples is None else samples
     rep = VerificationReport(name, type_name or "all", seed)
     for t in (type_name,) if type_name else all_types:

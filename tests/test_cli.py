@@ -146,6 +146,17 @@ def test_polytope_build_off_and_json(tmp_path, capsys):
     assert len(data["faces"]) == 9
 
 
+def test_polytope_build_renders_lambda_as_its_vertices(capsys):
+    """The lambda header renders each coordinate as the vertex lines do,
+    as an exact rational string."""
+    code, out, _ = run(capsys, "polytope", "build", "--type", "A2",
+                       "--lambda", "1/2,1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "P^lambda for A2, lambda = [1/2, 1]"
+    assert "  J=[]: ['1/2', '1']" in lines
+
+
 @pytest.mark.parametrize("argv", [
     ("polytope", "build", "--type", "B2", "--lambda", "1,1", "--off", "F",
      "--json"),
@@ -363,6 +374,21 @@ def test_zero_samples_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--samples", "0")
     assert code == 2 and out == ""
     assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem59", "--type", "A1"],
+    ["verify", "cube", "--type", "A2"],
+    ["verify", "normalfan"],
+    ["export", "report-json", "--suite", "theorem59", "--type", "A1"],
+])
+def test_samples_refused_where_a_suite_samples_nothing(capsys, argv):
+    """A suite that samples nothing would ignore the count and run its
+    fixed cases: it runs no case and exits 2 with one line."""
+    code, out, err = run(capsys, *argv, "--samples", "3")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "samples nothing" in err
     assert "Traceback" not in err
 
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 import itertools
-from math import gcd
+from math import gcd, prod
 import random
 
 import pytest
@@ -118,11 +118,24 @@ def test_tnn_membership_examples():
     assert grouprep.tnn_membership_typeA(g.matrix(rep))
 
 
+def _leibniz_minor(mat, rows, cols):
+    """The minor of mat on rows and cols as the Leibniz sum over the
+    permutations of cols, each term signed by its inversion count: no
+    elimination."""
+    total = 0
+    for perm in itertools.permutations(cols):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * prod(
+            (mat[r][c] for r, c in zip(rows, perm)), start=Fraction(1))
+    return total
+
+
 def tnn_membership_reference(mat, tol=Fraction(0)):
-    """Every minor of mat is at least -tol, one linalg.det per minor: the
-    reference for grouprep.tnn_membership_typeA."""
+    """Every minor of mat is at least -tol, each a Leibniz sum: the
+    reference for grouprep.tnn_membership_typeA, which takes one
+    linalg.det per minor."""
     n = len(mat)
-    return all(linalg.det([[mat[r][c] for c in cols] for r in rows]) >= -tol
+    return all(_leibniz_minor(mat, rows, cols) >= -tol
                for k in range(1, n + 1)
                for rows in itertools.combinations(range(n), k)
                for cols in itertools.combinations(range(n), k))

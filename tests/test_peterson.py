@@ -291,7 +291,7 @@ def test_newton_iterates_are_pinned():
 def _certificate_reference(ws, p, target):
     """(minor test, minors, residual) of p through the Fraction kernel:
     the unipotent part's matrix on each component's first fundamental
-    module, judged one `linalg.det` per minor, and the minors of the token
+    module, each of its minors a Leibniz sum, and the minors of the token
     word, independent of the integer polynomials that the certificate and
     `deltas` use."""
     tnn = all(tnn_membership_reference(
@@ -415,12 +415,75 @@ def test_matrix_polynomials_reproduce_the_kernel(name):
                 assert [F(v, den) for v in got] == want, (J, coords, i)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A1xA1", "A2xA1"])
+def test_certificate_form_holds_the_minors_and_every_varying_entry(name):
+    """For every J, the certificate form's first n rows are the minor
+    polynomials.  At rational points its listed rows give exactly the
+    values of the non-constant entries of matrix_polynomials(J, i), i in
+    J, one row per distinct entry, and it has no other rows.  The least
+    constant entry is 0: the entries below the diagonal."""
+    ws = _ws(name)
+    n = ws.datum.n
+    for J in rootdata.subsets(range(n)):
+        form, slots, least = ws.certificate_polynomials(J)
+        assert form.rationals()[:n] == ws.minor_polynomials(J).rationals()
+        assert least == 0
+        varying = [f for i in J
+                   for f in ws.matrix_polynomials(J, i).rationals()
+                   if any(map(any, f))]
+        assert len(slots) == len({frozenset(f.items()) for f in varying})
+        assert len(form.terms) == n + len(set(slots) - set(range(n)))
+        for coords in ([F(k + 1, 2) for k in range(len(J))],
+                       [F(-3, 2) + F(k, 3) for k in range(len(J))],
+                       [F(5 - 2 * k, 1 + k) for k in range(len(J))]):
+            nums, q = linalg.integer_row(coords)
+            vals, den = form.evaluate(nums, q)
+            want = set()
+            for i in J:
+                ip = ws.matrix_polynomials(J, i)
+                got, d = ip.evaluate(nums, q)
+                want |= {F(v, d) for v, f in zip(got, ip.rationals())
+                         if any(map(any, f))}
+            assert {F(vals[s], den) for s in slots} == want, (J, coords)
+
+
+@pytest.mark.parametrize("name, target", [("A1", [2.0]),
+                                          ("A2", [2.5, 1.5]),
+                                          ("A1xA1", [1.0, 2.0]),
+                                          ("A2xA1", [2.5, 1.5, 3.0])])
+def test_a_negative_constant_entry_fails_every_certificate(
+        monkeypatch, name, target):
+    """The certificate judges the constant entries through the least one:
+    with the entry 1 at the top left of every matrix form made -1, the
+    certified root of the target is no longer TNN, and no start certifies,
+    although no varying entry moved."""
+    ws = _ws(name)
+    p, cert = peterson.invert_theorem59(ws, target)
+    assert cert.tnn
+    matrix = grouprep.Workspace.matrix_polynomials
+
+    def negated(ws, J, i):
+        polys = matrix(ws, J, i).rationals()
+        assert polys[0] == {(0,) * len(J): 1}
+        polys[0] = {(0,) * len(J): F(-1)}
+        return grouprep.IntegerPolynomials(polys)
+    monkeypatch.setattr(grouprep.Workspace, "matrix_polynomials", negated)
+    ws = _ws(name)
+    assert ws.certificate_polynomials(p.J)[2] == -1
+    assert not peterson.certify_theorem59(ws, p, target).tnn
+    with pytest.raises(peterson.InversionError):
+        peterson.invert_theorem59(ws, target)
+
+
 def test_theorem59_never_takes_the_fraction_path(monkeypatch):
     """The inversion and the theorem59 suite certify each root in
     integers: no group-element matrix, unipotent part, Fraction minor
     test or determinant is taken.  The one determinant allowed is the
-    Cartan matrix check of each root datum built."""
-    calls = []
+    Cartan matrix check of each root datum built.  Each certificate makes
+    one integer evaluation, of the minors and the distinct varying
+    entries: 1 polynomial on A1 and 3 on A2 (Delta_1, Delta_2 and the
+    coordinate a)."""
+    calls, certified, evaluations = [], [], []
 
     def counted(owner, attr, allowed=()):
         fn = getattr(owner, attr)
@@ -435,11 +498,29 @@ def test_theorem59_never_takes_the_fraction_path(monkeypatch):
     counted(peterson, "unipotent_part")
     counted(grouprep, "tnn_membership_typeA")
     counted(linalg, "det", allowed=("validate",))
+    evaluate = grouprep.IntegerPolynomials.evaluate
+    certify = peterson.certify_theorem59
+
+    def counted_evaluate(polys, nums, q):
+        evaluations.append(len(polys.terms))
+        return evaluate(polys, nums, q)
+
+    def counted_certify(ws, p, target):
+        before = len(evaluations)
+        cert = certify(ws, p, target)
+        certified.append((p.J, tuple(evaluations[before:])))
+        return cert
+    monkeypatch.setattr(grouprep.IntegerPolynomials, "evaluate",
+                        counted_evaluate)
+    monkeypatch.setattr(peterson, "certify_theorem59", counted_certify)
     ws = _ws("A2")
     peterson.invert_theorem59(ws, [2.5, 1.5])
-    rep = verify.run_suite("theorem59", "A2", 0, None)
-    assert rep.cases and not rep.failures
+    for name in ("A1", "A2"):
+        rep = verify.run_suite("theorem59", name, 0, None)
+        assert rep.cases and not rep.failures
     assert calls == []
+    assert set(certified) == {((0,), (1,)), ((0, 1), (3,))}
+    assert len(evaluations) == len(certified)
 
 
 def test_classify_stratum_checks_under_python_O():

@@ -39,6 +39,11 @@ def test_failures_recorded_with_context():
                              "got": "got", "claim": "claim text"}]
 
 
+def _samples(suite, count):
+    """count for a suite that samples, None for one that takes none."""
+    return None if verify.SUITES[suite][1] is None else count
+
+
 def test_each_suite_passes_on_a_small_type():
     picks = {
         "lemma53": "A2", "prop44": "A2", "prop35": "B2", "cube": "A2",
@@ -46,7 +51,8 @@ def test_each_suite_passes_on_a_small_type():
         "prop76": "A1", "theorem59": "A1", "moment-cells": "G2",
     }
     for suite, typ in picks.items():
-        rep = verify.run_suite(suite, typ, seed=3, samples=4)
+        rep = verify.run_suite(suite, typ, seed=3,
+                               samples=_samples(suite, 4))
         assert rep.failures == [], (suite, rep.failures[:2])
         assert rep.cases > 0
 
@@ -56,6 +62,22 @@ def test_all_suite_merges():
     assert rep.suite == "all"
     assert rep.failures == []
     assert rep.cases > 50
+
+
+def test_all_hands_samples_only_to_suites_that_sample(monkeypatch):
+    """`all` with a sample count runs each suite that samples nothing
+    (cube, normalfan, theorem59) at its fixed cases: its runner is given
+    no count, so the report is the one it gives alone."""
+    counts = {}
+    for suite, (runner, default, types) in verify.SUITES.items():
+        def recorded(type_name, samples, seed, suite=suite, runner=runner):
+            counts[suite] = samples
+            return runner(type_name, samples, seed)
+        monkeypatch.setitem(verify.SUITES, suite, (recorded, default, types))
+    rep = verify.run_suite("all", "A1", seed=1, samples=3)
+    assert rep.failures == []
+    assert counts == {suite: None if default is None else 3
+                      for suite, (_, default, _) in verify.SUITES.items()}
 
 
 def test_all_leaves_theorem59_out_where_it_cannot_certify(monkeypatch):
@@ -134,7 +156,8 @@ def test_small_unit_reports_are_pinned():
     }
     got = {}
     for suite, typ in pinned:
-        rep = verify.run_suite(suite, typ, seed=3, samples=4)
+        rep = verify.run_suite(suite, typ, seed=3,
+                               samples=_samples(suite, 4))
         text = json.dumps(rep.to_dict(), sort_keys=True)
         got[suite, typ] = hashlib.sha256(text.encode()).hexdigest()
     assert got == pinned
