@@ -362,7 +362,10 @@ def cmd_toric_moment(args):
 
 
 def cmd_verify(args):
-    # the report is opened first: an unwritable path fails before the run
+    # the arguments are checked, then the report opened, before the run:
+    # a refused run leaves an existing report as it was, and an unwritable
+    # path fails before the run
+    verify.check_suite(args.suite, args.type, args.samples)
     with _output(args.report) as fh:
         report = verify.run_suite(args.suite, args.type,
                                   seed=args.seed, samples=args.samples)
@@ -391,6 +394,7 @@ def cmd_export(args):
     if kind == "report-json":
         if not args.suite:
             raise ValueError("export report-json needs --suite")
+        verify.check_suite(args.suite, args.type, args.samples)
         with _output(args.out) as fh:
             report = verify.run_suite(args.suite, args.type,
                                       seed=args.seed, samples=args.samples)

@@ -449,26 +449,30 @@ class Workspace:
 
     def newton_terms(self, J):
         """(values, gradients): each minor polynomial of J, and each of
-        its partial derivatives, as (exponents, float coefficient) terms in
-        the polynomial's own order, built once per J for a float Newton
-        iteration.  A partial derivative that is one constant term is
+        its partial derivatives, as (float coefficient, ((k, e), ...))
+        terms in the polynomial's own order, built once per J for a float
+        Newton iteration.  A term lists only the coordinates k with
+        exponent e > 0.  A partial derivative that is one constant term is
         stored as its float coefficient alone, the value its term list
         would sum to.  Each coefficient is one correctly rounded int
         division."""
         J = tuple(sorted(set(J)))
 
+        def powers(e):
+            return tuple((k, x) for k, x in enumerate(e) if x)
+
         def partial(f, k, den):
-            terms = [(e[:k] + (e[k] - 1,) + e[k + 1:], a * e[k] / den)
+            terms = [(a * e[k] / den, powers(e[:k] + (e[k] - 1,) + e[k + 1:]))
                      for e, a in f if e[k]]
-            if len(terms) == 1 and not any(terms[0][0]):
-                return terms[0][1]
+            if len(terms) == 1 and not terms[0][1]:
+                return terms[0][0]
             return terms
 
         def build():
             ip = self.minor_polynomials(J)
             polys = [[(ip.monomials[j][0], a) for j, a in f]
                      for f in ip.terms]
-            return ([[(e, a / ip.den) for e, a in f] for f in polys],
+            return ([[(a / ip.den, powers(e)) for e, a in f] for f in polys],
                     [[partial(f, k, ip.den) for k in range(len(J))]
                      for f in polys])
         return self._once(('newton', J), build)

@@ -194,10 +194,30 @@ def _newton_solve(a, b):
     """Solve the square float system a x = b by Gauss-Jordan, pivoting on
     the first nonzero entry of each column.  The Newton root is irrational,
     so this solve stays in floats.  Raises ValueError on a singular a or a
-    right-hand side beyond the float range."""
+    right-hand side beyond the float range.
+
+    A 2 x 2 system, every Newton step on A2 or A1 x A1, takes the same
+    float operations unrolled, without forming the unit pivots and the
+    eliminated zeros that the loop writes and never reads."""
     if not all(map(math.isfinite, b)):
         raise ValueError("residual beyond the float range")
     n = len(a)
+    if n == 2:
+        (p, q), (u, v) = a
+        y, z = b
+        if not p:
+            if not u:
+                raise ValueError("singular Jacobian")
+            (p, q, y), (u, v, z) = (u, v, z), (p, q, y)
+        q, y = q / p, y / p
+        if u:
+            v, z = v - u * q, z - u * y
+        if not v:
+            raise ValueError("singular Jacobian")
+        z = z / v
+        if q:
+            y = y - q * z
+        return [y, z]
     m = [[*row, v] for row, v in zip(a, b)]
     for c in range(n):
         pivot = next((i for i in range(c, n) if m[i][c]), None)
@@ -214,12 +234,14 @@ def _newton_solve(a, b):
 
 
 def _value(f, c):
-    """The (exponents, float coefficient) terms f of `ws.newton_terms` at
-    the point c, summed left to right from 0.0: sum() compensates on
-    3.12+."""
+    """The terms f of `ws.newton_terms` at the point c: each term's float
+    coefficient times c[k] ** e for its (k, e) pairs, left to right, the
+    terms summed left to right from 0.0 (sum() compensates on 3.12+)."""
     acc = 0.0
-    for exps, coeff in f:
-        acc += math.prod(map(pow, c, exps), start=coeff)
+    for coeff, powers in f:
+        for k, e in powers:
+            coeff *= c[k] ** e
+        acc += coeff
     return acc
 
 

@@ -392,17 +392,35 @@ def _cannot_run(name, type_name):
     return None
 
 
+def check_suite(name, type_name=None, samples=None):
+    """Raise the ValueError with which run_suite(name, type_name,
+    samples=samples) would refuse to run, or return None.  It runs and
+    builds nothing, so a caller can check before it opens an output."""
+    if samples is not None and samples < 0:
+        raise ValueError("sample count %d is negative" % samples)
+    if samples == 0:
+        raise ValueError("sample count 0 checks nothing")
+    if name != "all":
+        if name not in SUITES:
+            raise ValueError("unknown suite %r" % name)
+        reason = type_name and _cannot_run(name, type_name)
+        if reason:
+            raise ValueError(reason)
+        if SUITES[name][1] is None and samples is not None:
+            raise ValueError("suite %s samples nothing: it takes no sample "
+                             "count" % name)
+    if type_name and type_name not in rootdata.CATALOG:
+        rootdata.datum_from_name(type_name)  # raises the catalog's error
+
+
 def run_suite(name, type_name=None, seed=0, samples=None):
     """Run one suite (or "all") and return a VerificationReport.  This is
     the one place that counts a suite's cases and attaches its claim.
     Given a type, "all" leaves out each suite that cannot run on it, and
     a single suite that cannot raises ValueError before it runs.  "all"
     hands a sample count only to the suites that sample; a single suite
-    that samples nothing refuses one with ValueError."""
-    if samples is not None and samples < 0:
-        raise ValueError("sample count %d is negative" % samples)
-    if samples == 0:
-        raise ValueError("sample count 0 checks nothing")
+    that samples nothing refuses one with ValueError (see check_suite)."""
+    check_suite(name, type_name, samples)
     if name == "all":
         rep = VerificationReport("all", type_name or "all", seed)
         for sub in SUITE_CLAIMS:
@@ -410,15 +428,7 @@ def run_suite(name, type_name=None, seed=0, samples=None):
                 count = None if SUITES[sub][1] is None else samples
                 rep.merge(run_suite(sub, type_name, seed, count))
         return rep
-    if name not in SUITES:
-        raise ValueError("unknown suite %r" % name)
     runner, default, all_types = SUITES[name]
-    reason = type_name and _cannot_run(name, type_name)
-    if reason:
-        raise ValueError(reason)
-    if default is None and samples is not None:
-        raise ValueError("suite %s samples nothing: it takes no sample "
-                         "count" % name)
     count = default if samples is None else samples
     rep = VerificationReport(name, type_name or "all", seed)
     for t in (type_name,) if type_name else all_types:

@@ -509,6 +509,79 @@ def test_unwritable_report_path_fails_before_the_suite_runs(
     assert calls == []
 
 
+def test_directory_report_path_fails_before_the_suite_runs(
+        tmp_path, capsys, monkeypatch):
+    """A report path that is a directory exits 2 with one line and runs no
+    suite."""
+    calls = []
+    monkeypatch.setattr(cli.verify, "run_suite",
+                        lambda *a, **k: calls.append(a))
+    code, out, err = run(capsys, "verify", "prop35", "--report",
+                         str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Is a directory" in err
+    assert calls == [] and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("refused", [
+    ("theorem59", "--type", "A1", "--samples", "3"),
+    ("prop35", "--type", "A2", "--samples", "0"),
+    ("prop35", "--type", "E8"),
+])
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_refused_run_keeps_the_old_report(tmp_path, capsys, refused,
+                                          command):
+    """A run that run_suite refuses exits 2 and leaves an existing report
+    byte for byte as it was: the arguments are checked before the report
+    is opened."""
+    path = tmp_path / "rep.json"
+    old = b'{"old": 1}\n'
+    path.write_bytes(old)
+    suite, *rest = refused
+    if command == "verify":
+        argv = ("verify", suite, *rest, "--report", str(path))
+    else:
+        argv = ("export", "report-json", "--suite", suite, *rest,
+                "--out", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["rep.json"]
+
+
+def test_report_replaces_the_old_one(tmp_path, capsys):
+    """A run that completes writes its report over the old one."""
+    path = tmp_path / "rep.json"
+    path.write_text('{"old": 1}\n')
+    code, _, _ = run(capsys, "verify", "lemma53", "--type", "A1",
+                     "--samples", "1", "--report", str(path))
+    assert code == 0
+    assert json.loads(path.read_text())["suite"] == "lemma53"
+    assert os.listdir(tmp_path) == ["rep.json"]
+
+
+def test_report_through_a_symlink_writes_its_target(tmp_path, capsys):
+    """A report path that is a symlink stays one: the report is written
+    to the file it points at."""
+    target = tmp_path / "target.json"
+    target.write_text('{"old": 1}\n')
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "verify", "lemma53", "--type", "A1",
+                     "--samples", "1", "--report", str(link))
+    assert code == 0 and link.is_symlink()
+    assert json.loads(target.read_text())["suite"] == "lemma53"
+
+
+def test_report_to_the_null_device(capsys):
+    """The null device takes a report like any writable path."""
+    code, out, _ = run(capsys, "export", "report-json", "--suite",
+                       "lemma53", "--type", "A1", "--samples", "1",
+                       "--out", os.devnull)
+    assert code == 0 and out == ""
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
 def test_verify_psi_strata_does_not_load_numpy():
     """psi-strata canonicalizes Cox points with the exact linalg.solve: a
     fresh interpreter runs it without importing numpy."""

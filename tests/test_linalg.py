@@ -3,7 +3,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from petersonlab import linalg, peterson
 
@@ -199,11 +199,9 @@ def test_solve_reads_floats_exactly(mat, b):
         _outcome(linalg.solve, exact, [F(v) for v in b])
 
 
-@given(st.lists(st.lists(floats, min_size=2, max_size=2), min_size=2,
-                max_size=2), st.lists(floats, min_size=2, max_size=2))
-def test_newton_solve_matches_float_gauss_jordan(jac, r):
-    """The Newton step's float solve repeats the float Gauss-Jordan bit for
-    bit, and refuses a singular Jacobian."""
+def _newton_solve_outcome(jac, r):
+    """_newton_solve against the float Gauss-Jordan: the same floats bit
+    for bit, or a ValueError on both sides."""
     try:
         want = [row[0] for row in _ref_solve_matrix(jac, [[v] for v in r])]
     except ValueError:
@@ -211,7 +209,48 @@ def test_newton_solve_matches_float_gauss_jordan(jac, r):
             peterson._newton_solve(jac, r)
         return
     got = peterson._newton_solve(jac, r)
-    assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
+    fmt = "<%dd" % len(r)
+    assert struct.pack(fmt, *got) == struct.pack(fmt, *want)
+
+
+@st.composite
+def _float_systems(draw):
+    """An n x n float system, n = 1, 2 or 3 with 2 (the unrolled path)
+    drawn half the time, with signed zeros often enough to hit the row
+    swap and the skipped eliminations."""
+    n = draw(st.sampled_from([1, 2, 2, 3]))
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), floats)
+    row = st.lists(entries, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n)), draw(row)
+
+
+@settings(max_examples=300)
+@given(_float_systems())
+def test_newton_solve_matches_float_gauss_jordan(system):
+    """The Newton step's float solve repeats the float Gauss-Jordan bit for
+    bit, on the unrolled 2 x 2 path and the general loop alike, and
+    refuses a singular Jacobian."""
+    _newton_solve_outcome(*system)
+
+
+@pytest.mark.parametrize("jac, r", [
+    ([[0.0, 2.0], [3.0, 1.0]], [1.0, 2.0]),      # zero first pivot: swap
+    ([[-0.0, 2.0], [3.0, -1.5]], [0.1, 0.7]),
+    ([[2.0, 1.0], [0.0, 3.0]], [-1.0, -0.0]),    # zero below the pivot
+    ([[2.0, 0.0], [0.7, 3.0]], [-0.0, -1.0]),    # zero above the pivot
+    ([[0.0, 1.0], [1.0, 0.0]], [0.2, 0.9]),      # swap, both zeros
+    ([[0.0, 1.0], [0.0, 2.0]], [1.0, 2.0]),      # no first pivot
+    # a Jacobian entry that overflowed: the loop's unit pivot inf / inf is
+    # NaN, which the unrolled path never forms
+    ([[math.inf, 1.0], [2.0, 3.0]], [1.0, 2.0]),
+    ([[1.0, 2.0], [3.0, -math.inf]], [1.0, 2.0]),
+    ([[0.0, 1.0], [math.inf, 3.0]], [1.0, 2.0]),
+    ([[math.inf, math.inf], [math.inf, math.inf]], [1.0, 2.0]),
+    ([[math.nan, 1.0], [2.0, 3.0]], [1.0, 2.0]),
+    ([[1.0, 1.0], [math.nan, 3.0]], [1.0, 2.0]),
+])
+def test_newton_solve_two_by_two_cases(jac, r):
+    _newton_solve_outcome(jac, r)
 
 
 def test_newton_solve_rejects_a_singular_jacobian():

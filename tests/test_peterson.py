@@ -1,12 +1,16 @@
 import dataclasses
 from fractions import Fraction
 import hashlib
+import itertools
+import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import textwrap
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from petersonlab import grouprep, linalg, peterson, rootdata, toric, verify
@@ -286,6 +290,81 @@ def test_newton_iterates_are_pinned():
         digest.update((" ".join(float(c).hex() for c in p.coords)
                        + "\n").encode())
     assert digest.hexdigest() == NEWTON_ITERATES_SHA256
+
+
+@pytest.mark.parametrize("name, sha256", [
+    ("A1xA1",
+     "8df86c6668a8c18ed4f7f6d70e19332ebdd4e8ca01c2e308153b07f422977379"),
+    ("A2xA1",
+     "096ba123899f6890e41dd559b01b91778827f33259d3f85bd581360661e5e8a0"),
+])
+def test_reducible_newton_iterates_are_pinned(name, sha256):
+    """As above on 20 random targets of a reducible type: A1xA1 steps
+    with the unrolled 2 x 2 solve, A2xA1 with the general 3 x 3 loop."""
+    ws = _ws(name)
+    rng = random.Random(59)
+    digest = hashlib.sha256()
+    for k in range(20):
+        target = [rng.uniform(0, 10) for _ in range(ws.datum.n)]
+        p, _ = peterson.invert_theorem59(ws, target, seed=k,
+                                         grid_starts=k % 2 == 0)
+        digest.update((" ".join(float(c).hex() for c in p.coords)
+                       + "\n").encode())
+    assert digest.hexdigest() == sha256
+
+
+def _dense_newton_terms(ws, J):
+    """(values, gradients) of J as (exponents, a / den) terms, and
+    (exponents, a * e_k / den) terms for the partials, one exponent per
+    coordinate, rebuilt from `ws.minor_polynomials(J)`."""
+    ip = ws.minor_polynomials(J)
+    polys = [[(ip.monomials[j][0], a) for j, a in f] for f in ip.terms]
+    return ([[(e, a / ip.den) for e, a in f] for f in polys],
+            [[[(e[:k] + (e[k] - 1,) + e[k + 1:], a * e[k] / ip.den)
+               for e, a in f if e[k]] for k in range(len(J))]
+             for f in polys])
+
+
+def _dense_value(terms, c):
+    acc = 0.0
+    for exps, coeff in terms:
+        acc += math.prod(map(pow, c, exps), start=coeff)
+    return acc
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+_TERM_FORMS = [(name, J) for name in ("A1", "A2", "A1xA1", "A2xA1")
+               for n in [rootdata.datum_from_name(name).n]
+               for r in range(n + 1)
+               for J in itertools.combinations(range(n), r)]
+_coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                         st.floats(-1e100, 1e100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_TERM_FORMS), st.data())
+def test_newton_terms_evaluate_as_the_dense_terms(form, data):
+    """Each value and partial of `ws.newton_terms(J)`, at a float point,
+    is bit for bit the dense sum of math.prod(map(pow, c, exps),
+    start=coeff) from 0.0; a constant partial is stored as that sum."""
+    name, J = form
+    ws = grouprep.workspace(rootdata.datum_from_name(name))
+    c = data.draw(st.lists(_coordinates, min_size=len(J),
+                           max_size=len(J)))
+    values, grads = ws.newton_terms(J)
+    dense_values, dense_grads = _dense_newton_terms(ws, J)
+    pairs = list(zip(values, dense_values))
+    pairs += zip(itertools.chain(*grads), itertools.chain(*dense_grads))
+    for stored, dense in pairs:
+        want = _bits(_dense_value(dense, c))
+        if isinstance(stored, float):
+            assert _bits(stored) == want
+            continue
+        assert all(e > 0 for _, powers in stored for _, e in powers)
+        assert _bits(peterson._value(stored, c)) == want
 
 
 def _certificate_reference(ws, p, target):

@@ -18,6 +18,25 @@ def test_unknown_suite_and_type():
         verify.run_suite("lemma53", "E8")
 
 
+@pytest.mark.parametrize("args", [
+    ("nosuchsuite", "A1", None), ("lemma53", "E8", None),
+    ("all", "E8", 1), ("theorem59", "A3", None), ("theorem59", "A1", 3),
+    ("prop76", "A4", None), ("lemma53", "A1", 0), ("all", None, -1),
+])
+def test_check_suite_refuses_as_run_suite_does(args, monkeypatch):
+    """check_suite raises the error that run_suite refuses with, and runs
+    no suite to find it."""
+    name, type_name, samples = args
+    with pytest.raises(ValueError) as want:
+        verify.run_suite(name, type_name, samples=samples)
+    monkeypatch.setattr(verify, "SUITES", {
+        k: (None, d, types) for k, (_, d, types) in verify.SUITES.items()})
+    with pytest.raises(ValueError) as got:
+        verify.check_suite(name, type_name, samples)
+    assert str(got.value) == str(want.value)
+    assert verify.check_suite("lemma53", "A1", 2) is None
+
+
 def test_report_fields_and_determinism():
     a = verify.run_suite("lemma53", "A2", seed=7, samples=5)
     b = verify.run_suite("lemma53", "A2", seed=7, samples=5)
